@@ -332,17 +332,13 @@ let run_perf ~jobs ~quick ~json_label () =
           List.map (fun s -> (c, s)) ss)
         cs
     in
-    let flat = Ijdt_core.Campaign.run_units ~jobs ~defects ~arches units in
-    List.map
-      (fun c ->
-        {
-          Ijdt_core.Campaign.compiler = c;
-          instructions =
-            List.filter_map
-              (fun (c', r) -> if c' = c then Some r else None)
-              flat;
-        })
-      cs
+    let s =
+      Ijdt_core.Campaign.run_supervised ~jobs ~defects ~arches ~compilers:cs
+        ~units ()
+    in
+    if Ijdt_core.Campaign.sup_incidents s <> [] then
+      failwith "perf: a campaign unit did not complete";
+    s.sup_campaign.results
   in
   (* cumulative cache counters: the no-sharing baseline resets the
      caches between compilers, so it harvests into these before each

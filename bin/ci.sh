@@ -14,14 +14,16 @@
 # and the worker-domain count with CI_JOBS.  Unbudgeted validation
 # output is byte-identical at any -j; with a budget the query cap is
 # enforced but runs that actually exhaust it may differ slightly in
-# which verdicts degrade to Unknown (see Campaign.run_units).
+# which verdicts degrade to Unknown (see Campaign.run_supervised).
 #
 # The mutation gates follow: `vmtest mutate --pristine` runs every
 # scheduled unit under an inert identity mutant and fails the build on
 # any false kill, then a quick kill-matrix smoke (one subject per
 # operator x compiler) writes MUTATION_ci.json and fails the build if
 # any operator's mutants all survive or the overall kill rate drops
-# below 90%.
+# below 90%.  The same smoke under --workers 2 must reproduce
+# MUTATION_ci.json exactly once the pool's process stats and the store
+# counters are popped.
 #
 # The robustness gates follow: a chaos campaign (three injected harness
 # faults — a raising solver, a hung exploration, an allocation bomb —
@@ -136,6 +138,21 @@ print(f"ci: mutation smoke: {m['totals']['units']} mutants, kill rate "
       f"killed statically")
 EOF
 echo "ci: mutation report at MUTATION_ci.json"
+dune exec bin/vmtest.exe -- mutate --workers 2 --per-operator 1 \
+  --json _build/ci-mutate-w2.json > /dev/null
+python3 - <<'EOF'
+import json
+pool = json.load(open("_build/ci-mutate-w2.json"))
+inproc = json.load(open("MUTATION_ci.json"))
+proc = pool["supervision"].pop("process")
+inproc["supervision"].pop("process")
+assert proc["deaths"] == proc["redeals"] == proc["garbage"] == 0, \
+    f"pristine mutate workers run had incidents: {proc}"
+pool.pop("store", None); inproc.pop("store", None)
+assert pool == inproc, "mutate workers report diverges from in-process run"
+print(f"ci: mutate workers gate: --workers 2 == in-process over "
+      f"{inproc['totals']['units']} mutants")
+EOF
 dune exec bin/vmtest.exe -- campaign --chaos --seed 7 -j "$CI_JOBS" \
   --max-iterations 24 --json ROBUST_ci.json > /dev/null
 python3 - <<'EOF'

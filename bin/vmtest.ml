@@ -376,6 +376,10 @@ let policy_of ~fuel ~deadline ~retries ~breaker ~seed =
     seed;
   }
 
+(* Units a run lost, for whatever reason. *)
+let lost (c : Exec.Supervise.counts) =
+  c.c_timed_out + c.c_crashed + c.c_worker_died + c.c_quarantined
+
 let json_robustness (c : Exec.Supervise.counts) =
   Printf.sprintf
     "{\"ok\":%d,\"timed_out\":%d,\"crashed\":%d,\"worker_died\":%d,\
@@ -583,9 +587,7 @@ let campaign_cmd =
     if s.sup_interrupted then exit 130;
     (* a supervised campaign exits non-zero only when units were lost
        for reasons other than an injected chaos fault *)
-    let t = s.sup_totals in
-    let lost = t.c_timed_out + t.c_crashed + t.c_worker_died + t.c_quarantined in
-    if lost > List.length s.sup_chaos then exit 1
+    if lost s.sup_totals > List.length s.sup_chaos then exit 1
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -902,21 +904,15 @@ let validate_cmd =
       exit 2
     end;
     let units =
-      List.concat_map
-        (fun compiler ->
-          let subjects =
-            match subject with
-            | Some s -> [ s ]
-            | None -> Ijdt_core.Campaign.corpus_subjects_for ~jobs ~corpus compiler
-          in
-          List.map (fun s -> (compiler, s)) subjects)
-        compilers
+      Option.map
+        (fun s -> List.map (fun compiler -> (compiler, s)) compilers)
+        subject
     in
     let s =
       Ijdt_core.Campaign.run_supervised ~jobs ?workers
         ~worker_deadline_s:worker_deadline ~max_iterations ~validate:true
         ?budget ~policy ?journal ~journal_sync ?resume ~defects ~arches
-        ~compilers ~corpus ~units ()
+        ~compilers ~corpus ?units ()
     in
     let c = s.Ijdt_core.Campaign.sup_campaign in
     Ijdt_core.Tables.validation_table Format.std_formatter c;
@@ -935,11 +931,7 @@ let validate_cmd =
     let t = Ijdt_core.Campaign.validation_totals c in
     let confirmed = t.refuted - t.missing in
     let tot = s.sup_totals in
-    if
-      tot.c_timed_out + tot.c_crashed + tot.c_worker_died + tot.c_quarantined
-      + tot.c_retries
-      > 0
-    then begin
+    if lost tot + tot.c_retries > 0 then begin
       print_newline ();
       Ijdt_core.Tables.supervision_table Format.std_formatter s
     end;
@@ -954,8 +946,7 @@ let validate_cmd =
         confirmed;
       exit 1
     end;
-    if tot.c_timed_out + tot.c_crashed + tot.c_worker_died + tot.c_quarantined > 0
-    then exit 1
+    if lost tot > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "validate"
@@ -1145,9 +1136,7 @@ let mutate_cmd =
         exit 1
       end
     end;
-    let r = m.Ijdt_core.Campaign.km_robustness in
-    if r.c_timed_out + r.c_crashed + r.c_worker_died + r.c_quarantined > 0 then
-      exit 1
+    if lost m.Ijdt_core.Campaign.km_robustness > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "mutate"

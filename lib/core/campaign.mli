@@ -113,66 +113,22 @@ val test_instruction :
     translation validation (pass 5) on every path x arch; [budget] caps
     its solver queries, shared across calls via the ref. *)
 
-val run_units :
-  ?jobs:int ->
-  ?max_iterations:int ->
-  ?validate:bool ->
-  ?budget:int ref ->
-  defects:Interpreter.Defects.t ->
-  arches:Jit.Codegen.arch list ->
-  (Jit.Cogits.compiler * Concolic.Path.subject) list ->
-  (Jit.Cogits.compiler * instruction_result) list
-(** The parallel fan-out primitive: run each (compiler, subject) unit
-    through {!test_instruction}, dealing units to up to [jobs] domains
-    (default {!Exec.Pool.default_jobs}; [1] = sequential in the caller).
-    Results come back in the input's order whatever the worker count, so
-    everything derived from them is byte-identical at any [-j].  Each
-    unit runs entirely on one domain (exact per-unit query counts).
-    With [budget], the shared ref is decremented racily across domains:
-    a few extra queries may slip through before exhaustion, degrading
-    some verdicts to Unknown — budgeted parallel runs are capped but not
-    exactly reproducible; unbudgeted runs are. *)
-
 val units_for :
   Jit.Cogits.compiler list ->
   (Jit.Cogits.compiler * Concolic.Path.subject) list
 (** Every compiler paired with each subject of its test universe, in
     stable (compiler, subject) order. *)
 
-val run_compiler :
-  ?jobs:int ->
-  ?max_iterations:int ->
-  ?validate:bool ->
-  ?budget:int ref ->
-  defects:Interpreter.Defects.t ->
-  arches:Jit.Codegen.arch list ->
-  Jit.Cogits.compiler ->
-  compiler_result
-
-val run :
-  ?jobs:int ->
-  ?max_iterations:int ->
-  ?validate:bool ->
-  ?budget:int ref ->
-  ?defects:Interpreter.Defects.t ->
-  ?arches:Jit.Codegen.arch list ->
-  ?compilers:Jit.Cogits.compiler list ->
-  unit ->
-  t
-(** The full evaluation (defaults: paper defects, both ISAs, all four
-    compilers, no translation validation).  All compilers' units fan
-    into one {!run_units} pool; the grouped result is independent of
-    [jobs]. *)
-
 (** {1 Supervised runs}
 
-    The fault-tolerant engine: same universe and per-unit work as
-    {!run}, but every (compiler × subject) unit goes through
-    {!Exec.Supervise} — isolated (a crash is a recorded verdict, not a
-    dead run), budgeted (the {!Exec.Budget} fuel watchdog turns hangs
-    into [Timed_out]), retried with deterministic backoff, quarantined
-    behind a per-compiler circuit breaker, optionally journalled for
-    checkpoint/resume, and optionally chaos-injected. *)
+    The one campaign engine: every (compiler × subject) unit runs
+    {!test_instruction} under {!Exec.Supervise} — isolated (a crash is
+    a recorded verdict, not a dead run), budgeted (the {!Exec.Budget}
+    fuel watchdog turns hangs into [Timed_out]), retried with
+    deterministic backoff, quarantined behind a per-compiler circuit
+    breaker, optionally journalled for checkpoint/resume, and
+    optionally chaos-injected.  {!kill_matrix} runs its mutants through
+    the same engine. *)
 
 type unit_report = {
   ur_key : string;
@@ -222,9 +178,22 @@ val run_supervised :
   ?units:(Jit.Cogits.compiler * Concolic.Path.subject) list ->
   unit ->
   supervised
-(** Supervised {!run}.  [corpus] (default {!Corpus_curated}) selects
-    the test universe; extracted runs tag the journal configuration, so
-    curated and extracted journals never mix.
+(** Run the evaluation (defaults: paper defects, all three ISAs, all
+    four compilers, no translation validation, 96 iterations).  Units
+    are dealt to up to [jobs] domains (default
+    {!Exec.Pool.default_jobs}; [1] = sequential in the caller), each
+    unit entirely on one domain (exact per-unit query counts); results
+    merge by stable unit position, so everything derived from them is
+    byte-identical at any [jobs].  [sup_campaign] groups the [Ok] units
+    by compiler, in [compilers] order.  [validate] adds solver-backed
+    translation validation on every path x arch; [budget] caps its
+    solver queries through a ref shared racily across domains — a few
+    extra queries may slip through before exhaustion, degrading some
+    verdicts to Unknown, so budgeted parallel runs are capped but not
+    exactly reproducible; unbudgeted runs are.  [corpus] (default
+    {!Corpus_curated}) selects the test universe; extracted runs tag
+    the journal configuration, so curated and extracted journals never
+    mix.
 
     [workers] runs the units in that many disposable worker processes
     ({!Exec.Procpool}) instead of in-process domains: a unit crash or
@@ -242,21 +211,35 @@ val run_supervised :
     OS-buffered tail can be lost to a hard kill, torn lines are still
     detected and skipped on load.
 
-    [units] overrides the
-    default universe
-    ([units_for compilers]) — the [vmtest validate] subcommand uses it
-    for single-instruction runs; compilers absent from [units] simply
-    produce empty rows.  [chaos:(seed, faults)] injects that many
-    seeded harness faults via {!Exec.Chaos.plan}.  [journal] appends
-    completed unit verdicts to an append-only JSONL file ([Ok]
-    payloads are marshalled {!instruction_result}s); [resume] preloads
-    such a journal and skips its finished units — the aggregate result
-    is byte-identical to a fresh run's, though the journal file itself
-    is written in completion order.  [journal] and [resume] may name
+    [units] overrides the default universe ([units_for compilers]) —
+    the [vmtest validate] subcommand uses it for single-instruction
+    runs; compilers absent from [units] simply produce empty rows.
+    [chaos:(seed, faults)] injects that many seeded harness faults via
+    {!Exec.Chaos.plan}.  [journal] appends completed unit verdicts to an
+    append-only JSONL file ([Ok] payloads are marshalled
+    {!instruction_result}s, checksummed); [resume] preloads such a
+    journal and skips its finished units (an entry that fails its
+    checksum or does not decode is recomputed instead) — the aggregate
+    result is byte-identical to a fresh run's, though the journal file
+    itself is written in completion order.  [journal] and [resume] may name
     the same file to continue a killed run in place.  Verdict counts
     and unit reports are byte-identical at any [jobs]; wall-clock
     deadlines ([policy.deadline_s]) are the one knob that can break
     that, which is why the default policy only sets fuel. *)
+
+val run :
+  ?jobs:int ->
+  ?max_iterations:int ->
+  ?validate:bool ->
+  ?budget:int ref ->
+  ?defects:Interpreter.Defects.t ->
+  ?arches:Jit.Codegen.arch list ->
+  ?compilers:Jit.Cogits.compiler list ->
+  unit ->
+  t
+(** [(run_supervised ...).sup_campaign] for a run that must come back
+    whole: raises [Failure] naming the first non-[ok] unit's key,
+    verdict and detail. *)
 
 (** {1 Aggregations} *)
 
@@ -406,12 +389,14 @@ val kill_matrix :
     interpreter configuration so every kill is attributable to the
     planted fault.  [pristine] replaces every operator with the inert
     {!Mutate.pristine} mutant; all units must come back {!Survived}
-    (the zero-false-kill gate, see {!false_kills}).  Units run under
-    {!Exec.Supervise} with [policy] (grouped per compiler for the
-    circuit breaker); [journal]/[resume] checkpoint and skip units by
-    their ["op|compiler|subject|arch"] key, storing the decided
-    (fired, kill) pair.  The outcome list is identical at any
-    [jobs]. *)
+    (the zero-false-kill gate, see {!false_kills}).  Units run through
+    the same engine as {!run_supervised}, under [policy] (grouped per
+    compiler for the circuit breaker); [journal]/[resume] checkpoint
+    and skip units by their ["op|compiler|subject|arch"] key, storing
+    the decided (fired, kill) pair (a damaged entry is recomputed).
+    [workers] runs the mutants in worker processes, as
+    {!run_supervised} does.  The outcome list is identical at any
+    [jobs] or [workers]. *)
 
 type kill_row = {
   kr_label : string;

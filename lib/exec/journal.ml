@@ -37,26 +37,24 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let to_hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
-
-let of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then failwith "odd hex payload";
-  String.init (n / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
+(* Version 2 added the payload checksum ("sum"); a version-1 journal
+   has no valid header for this reader and is ignored. *)
+let header_prefix = "{\"journal\":\"vmtest-supervise\",\"version\":2,\"config\":"
 
 let write_header oc ~config =
-  Printf.fprintf oc "{\"journal\":\"vmtest-supervise\",\"version\":1,\"config\":\"%s\"}\n"
-    (json_escape config);
+  Printf.fprintf oc "%s\"%s\"}\n" header_prefix (json_escape config);
   flush oc
+
+let open_append ~config file =
+  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file in
+  if out_channel_length oc = 0 then write_header oc ~config;
+  oc
 
 let append ?(sync = false) oc e =
   Printf.fprintf oc
-    "{\"key\":\"%s\",\"status\":\"%s\",\"attempts\":%d,\"detail\":\"%s\",\"payload\":\"%s\"}\n"
+    "{\"key\":\"%s\",\"status\":\"%s\",\"attempts\":%d,\"detail\":\"%s\",\"sum\":\"%s\",\"payload\":\"%s\"}\n"
     (json_escape e.key) (status_name e.status) e.attempts (json_escape e.detail)
-    (to_hex e.payload);
+    (Hex.digest e.payload) (Hex.encode e.payload);
   flush oc;
   (* [--journal-sync]: force the line to stable storage so even a
      power-cut-style kill resumes byte-identically.  The default only
@@ -115,7 +113,7 @@ let parse_int s pos =
 
 let parse_header line =
   let pos = ref 0 in
-  expect line pos "{\"journal\":\"vmtest-supervise\",\"version\":1,\"config\":";
+  expect line pos header_prefix;
   let config = parse_string line pos in
   expect line pos "}";
   config
@@ -130,9 +128,13 @@ let parse_entry line =
   let attempts = parse_int line pos in
   expect line pos ",\"detail\":";
   let detail = parse_string line pos in
+  expect line pos ",\"sum\":";
+  let sum = parse_string line pos in
   expect line pos ",\"payload\":";
-  let payload = of_hex (parse_string line pos) in
+  let payload = Hex.decode (parse_string line pos) in
   expect line pos "}";
+  (* a flipped payload digit must never reach a decoder *)
+  if Hex.digest payload <> sum then failwith "payload checksum mismatch";
   { key; status; attempts; detail; payload }
 
 let load ~config file =
@@ -165,8 +167,34 @@ let load ~config file =
                     | line ->
                         (match parse_entry line with
                         | e -> Hashtbl.replace tbl e.key e
-                        | exception _ -> () (* torn or foreign line: skip *));
+                        | exception _ -> () (* torn, corrupt or foreign line: skip *));
                         go ()
                   in
                   go ())));
   tbl
+
+(* The only mapping between journal lines and supervisor verdicts. *)
+
+let entry_of_outcome ~key ~encode (o : _ Supervise.outcome) =
+  let entry status detail payload =
+    { key; status; attempts = o.attempts; detail; payload }
+  in
+  match o.verdict with
+  | Supervise.Ok r -> entry Ok "" (encode r)
+  | Supervise.Timed_out reason -> entry Timed_out reason ""
+  | Supervise.Unit_crashed f -> entry Crashed f.exn ""
+  | Supervise.Worker_died status ->
+      (* journaled so a resume skips the poison unit instead of
+         re-dying on it *)
+      entry Worker_died status ""
+  | Supervise.Quarantined _ -> invalid_arg "Journal.entry_of_outcome: quarantined"
+
+let outcome_of_entry ~decode e : _ Supervise.outcome =
+  let verdict =
+    match e.status with
+    | Ok -> Supervise.Ok (decode e.payload)
+    | Timed_out -> Supervise.Timed_out e.detail
+    | Crashed -> Supervise.Unit_crashed { exn = e.detail; backtrace = "" }
+    | Worker_died -> Supervise.Worker_died e.detail
+  in
+  { verdict; attempts = e.attempts }

@@ -70,25 +70,10 @@ let reset_stats (t : t) =
   Atomic.set t.loads 0;
   Atomic.set t.writes 0
 
-(* --- hex armour (the journal's convention) --- *)
-
-let to_hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter
-    (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-    s;
-  Buffer.contents buf
-
-let of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then failwith "odd hex";
-  String.init (n / 2) (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
-
 (* --- addressing --- *)
 
 let entry_path t ~ns ~key =
-  let h = Digest.to_hex (Digest.string (ns ^ "\x00" ^ key)) in
+  let h = Hex.digest (ns ^ "\x00" ^ key) in
   Filename.concat t.dir
     (Filename.concat (String.sub h 0 2) (String.sub h 2 (String.length h - 2)))
 
@@ -101,8 +86,8 @@ let ensure_dir d =
 let header ~ns ~key payload =
   Printf.sprintf
     "{\"store\":\"vmtest-store\",\"version\":1,\"ns\":\"%s\",\"key\":\"%s\",\"len\":%d,\"sum\":\"%s\"}\n"
-    (to_hex ns) (to_hex key) (String.length payload)
-    (Digest.to_hex (Digest.string payload))
+    (Hex.encode ns) (Hex.encode key) (String.length payload)
+    (Hex.digest payload)
 
 (* Minimal parser for the exact header we write (journal style: enough
    to read our own lines back, never a general-purpose parser). *)
@@ -124,9 +109,9 @@ let parse_until line pos stop =
 let parse_header line =
   let pos = ref 0 in
   expect line pos "{\"store\":\"vmtest-store\",\"version\":1,\"ns\":\"";
-  let ns = of_hex (parse_until line pos '"') in
+  let ns = Hex.decode (parse_until line pos '"') in
   expect line pos "\",\"key\":\"";
-  let key = of_hex (parse_until line pos '"') in
+  let key = Hex.decode (parse_until line pos '"') in
   expect line pos "\",\"len\":";
   let len = int_of_string (parse_until line pos ',') in
   expect line pos ",\"sum\":\"";
@@ -158,7 +143,7 @@ let find t ~ns ~key : string option =
                   let payload = really_input_string ic len in
                   (* strict: trailing bytes mean the entry was damaged *)
                   if pos_in ic <> in_channel_length ic then None
-                  else if Digest.to_hex (Digest.string payload) <> sum then
+                  else if Hex.digest payload <> sum then
                     None
                   else Some payload
                 end

@@ -57,6 +57,28 @@ let backoff ~policy ~idx ~attempt =
     Domain.cpu_relax ()
   done
 
+(* Every attempt runs under the unit's chaos fault and a fresh watchdog
+   budget; a failed attempt backs off and retries while attempts remain
+   (attempt numbers continue from [first], so a worker process picks up
+   the coordinator's deal count). *)
+let run_attempts ~policy ~idx ~first ~chaos f =
+  let rec go a =
+    let retry failed =
+      if a <= policy.retries then (backoff ~policy ~idx ~attempt:a; go (a + 1))
+      else { verdict = failed; attempts = a }
+    in
+    match
+      Chaos.with_fault chaos @@ fun () ->
+      Budget.with_budget ?fuel:policy.fuel ?deadline_s:policy.deadline_s f
+    with
+    | v -> { verdict = Ok v; attempts = a }
+    | exception Budget.Exhausted reason -> retry (Timed_out reason)
+    | exception e ->
+        let backtrace = Printexc.get_backtrace () in
+        retry (Unit_crashed { exn = Printexc.to_string e; backtrace })
+  in
+  go first
+
 let tally outs =
   Array.fold_left
     (fun c o ->
@@ -170,11 +192,6 @@ let run ?jobs ?(policy = default_policy) ?(chaos = fun _ -> None) ?precomputed ?
     in
     streak (posn.(idx) - 1) 0
   in
-  let attempt idx u =
-    Chaos.with_fault (chaos idx) @@ fun () ->
-    Budget.with_budget ?fuel:policy.fuel ?deadline_s:policy.deadline_s @@ fun () ->
-    f u
-  in
   let run_unit idx =
     if Atomic.get raw.(idx) = None then
       if Interrupt.requested () then
@@ -186,19 +203,10 @@ let run ?jobs ?(policy = default_policy) ?(chaos = fun _ -> None) ?precomputed ?
         Atomic.set raw.(idx)
           (Some { verdict = Quarantined group_name.(idx); attempts = 0 })
       else begin
-        let rec go a =
-          match attempt idx units.(idx) with
-          | v -> { verdict = Ok v; attempts = a }
-          | exception Budget.Exhausted reason ->
-              if a <= policy.retries then (backoff ~policy ~idx ~attempt:a; go (a + 1))
-              else { verdict = Timed_out reason; attempts = a }
-          | exception e ->
-              let backtrace = Printexc.get_backtrace () in
-              let failure = { exn = Printexc.to_string e; backtrace } in
-              if a <= policy.retries then (backoff ~policy ~idx ~attempt:a; go (a + 1))
-              else { verdict = Unit_crashed failure; attempts = a }
+        let o =
+          run_attempts ~policy ~idx ~first:1 ~chaos:(chaos idx) (fun () ->
+              f units.(idx))
         in
-        let o = go 1 in
         Atomic.set raw.(idx) (Some o);
         match record with
         | None -> ()

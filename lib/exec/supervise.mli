@@ -103,9 +103,21 @@ val breaker_postpass :
     the streak).  Exposed so the procpool merge applies exactly the
     in-process rule after collecting worker results. *)
 
-val backoff : policy:policy -> idx:int -> attempt:int -> unit
-(** Seed-derived retry backoff spin — exported so worker processes
-    replicate the coordinator's retry behaviour exactly. *)
+val run_attempts :
+  policy:policy ->
+  idx:int ->
+  first:int ->
+  chaos:Chaos.kind option ->
+  (unit -> 'b) ->
+  'b outcome
+(** The retry loop behind {!run} for one unit: run [f] under the
+    [chaos] fault and a fresh {!Budget} per attempt, numbering attempts
+    from [first]; after a crash or an exhausted budget, spin a
+    seed-derived backoff (derived from [policy.seed], [idx] and the
+    attempt) and retry while attempts [<= policy.retries].  The verdict
+    is [Ok], [Timed_out] or [Unit_crashed].  Exported so worker
+    processes, which continue the coordinator's deal count, replicate
+    the in-process retries exactly. *)
 
 val tally : 'a outcome array -> counts
 (** Aggregate verdict counts over a slice of outcomes. *)

@@ -39,28 +39,12 @@ type msg =
 
 let magic = "vmw1|"
 
-(* --- hex armour (the journal's convention) --- *)
-
-let to_hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter
-    (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-    s;
-  Buffer.contents buf
-
-let of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then failwith "odd hex";
-  String.init (n / 2) (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
-
 (* --- pure frame codec --- *)
 
 let encode m =
   let payload = Marshal.to_string m [] in
   Printf.sprintf "%s%08x|%s|%s\n" magic (String.length payload)
-    (Digest.to_hex (Digest.string payload))
-    (to_hex payload)
+    (Hex.digest payload) (Hex.encode payload)
 
 (* [line] excludes the trailing newline.  Any malformation — wrong
    magic, bad length, checksum mismatch, unmarshallable payload — is
@@ -80,10 +64,10 @@ let decode_line line : msg option =
           let hex_start = ml + 42 in
           if String.length line <> hex_start + (2 * len) then None
           else begin
-            match of_hex (String.sub line hex_start (2 * len)) with
+            match Hex.decode (String.sub line hex_start (2 * len)) with
             | exception _ -> None
             | payload ->
-                if Digest.to_hex (Digest.string payload) <> sum then None
+                if Hex.digest payload <> sum then None
                 else ( try Some (Marshal.from_string payload 0 : msg) with _ -> None)
           end
 

@@ -199,36 +199,23 @@ let test_explorer_cache_transparent () =
 
 let take k xs = List.filteri (fun i _ -> i < k) xs
 
-let subset_units () =
+let subset_units ?(per_compiler = 8) () =
   List.concat_map
-    (fun c -> List.map (fun s -> (c, s)) (take 8 (Campaign.subjects_for c)))
+    (fun c ->
+      List.map (fun s -> (c, s)) (take per_compiler (Campaign.subjects_for c)))
     Jit.Cogits.all
 
-let run_subset jobs =
+let run_subset ?per_compiler jobs =
   (* reset the shared caches so both runs start cold; determinism must
      not depend on what an earlier test happened to warm up *)
   Solver.Solve.reset_cache ();
   Concolic.Explorer.reset_cache ();
-  let flat =
-    Campaign.run_units ~jobs ~validate:true
-      ~defects:Interpreter.Defects.paper ~arches:Jit.Codegen.all_arches
-      (subset_units ())
+  let s =
+    Campaign.run_supervised ~jobs ~validate:true
+      ~units:(subset_units ?per_compiler ()) ()
   in
-  {
-    Campaign.defects = Interpreter.Defects.paper;
-    arches = Jit.Codegen.all_arches;
-    results =
-      List.map
-        (fun c ->
-          {
-            Campaign.compiler = c;
-            instructions =
-              List.filter_map
-                (fun (c', r) -> if c' = c then Some r else None)
-                flat;
-          })
-        Jit.Cogits.all;
-  }
+  check_int "no unit lost" 0 (List.length (Campaign.sup_incidents s));
+  s.Campaign.sup_campaign
 
 (* count-based renderings only: figures 6-7 print wall-clock times,
    which no scheduler can make reproducible *)
@@ -269,11 +256,12 @@ let test_campaign_determinism () =
    slot and the fault-tagged caches; outcomes must not depend on which
    domain ran which mutant. *)
 
-let run_kill_matrix jobs =
+let run_kill_matrix ?workers ?journal ?resume jobs =
   Solver.Solve.reset_cache ();
   Concolic.Explorer.reset_cache ();
   Campaign.reset_kill_cache ();
-  Campaign.kill_matrix ~jobs ~per_operator:1 ~gen:4 ~seed:42 ()
+  Campaign.kill_matrix ~jobs ?workers ?journal ?resume ~per_operator:1 ~gen:4
+    ~seed:42 ()
 
 let render_kill_table (m : Campaign.kill_matrix) =
   let buf = Buffer.create 4096 in
@@ -309,11 +297,14 @@ let test_kill_matrix_determinism () =
    contained as the same per-unit verdicts whatever the worker count,
    and the supervision table must render byte-identically. *)
 
-let run_chaos_subset jobs =
+(* the subset at a small budget, from cold caches *)
+let run_small ?jobs ?workers ?chaos ?journal ?resume () =
   Solver.Solve.reset_cache ();
   Concolic.Explorer.reset_cache ();
-  Campaign.run_supervised ~jobs ~max_iterations:8 ~chaos:(3, 4)
-    ~units:(subset_units ()) ()
+  Campaign.run_supervised ?jobs ?workers ?chaos ?journal ?resume
+    ~max_iterations:8 ~units:(subset_units ()) ()
+
+let run_chaos_subset jobs = run_small ~jobs ~chaos:(3, 4) ()
 
 let render_supervision (s : Campaign.supervised) =
   let buf = Buffer.create 1024 in
@@ -469,15 +460,10 @@ let test_wire_decoder_recovery () =
    supervised result must be indistinguishable from the in-process
    engine at any worker count. *)
 
-let run_workers_subset workers =
-  Solver.Solve.reset_cache ();
-  Concolic.Explorer.reset_cache ();
-  Campaign.run_supervised ?workers ~max_iterations:8 ~units:(subset_units ()) ()
-
 let test_procpool_determinism () =
-  let inproc = run_workers_subset None in
-  let w1 = run_workers_subset (Some 1) in
-  let w4 = run_workers_subset (Some 4) in
+  let inproc = run_small () in
+  let w1 = run_small ~workers:1 () in
+  let w4 = run_small ~workers:4 () in
   Alcotest.(check (list string))
     "workers=1 == in-process"
     (unit_report_strings inproc)
@@ -502,6 +488,53 @@ let test_procpool_determinism () =
   | None -> Alcotest.fail "workers run must report pool stats");
   check_bool "in-process run has no pool stats" true
     (inproc.Campaign.sup_process = None)
+
+(* --- mutants through the worker pool: --workers 2 == in-process --- *)
+
+let test_kill_matrix_workers () =
+  let inproc = run_kill_matrix 1 in
+  let pool = run_kill_matrix ~workers:2 1 in
+  Alcotest.(check (list string))
+    "mutant outcomes: workers=2 == in-process" (outcome_strings inproc)
+    (outcome_strings pool);
+  check_bool "robustness counts: workers=2 == in-process" true
+    (pool.Campaign.km_robustness = inproc.Campaign.km_robustness);
+  match pool.Campaign.km_process with
+  | Some p -> check_int "pristine run: no deaths" 0 p.Exec.Procpool.p_deaths
+  | None -> Alcotest.fail "workers run must report pool stats"
+
+(* --- damaged journals: a flipped payload digit costs a recompute ---
+
+   The entry's checksum no longer matches, so resume must drop it and
+   recompute the unit — never hand the bytes to a decoder (a flipped
+   digit in a mutate payload used to abort the whole kill matrix).  The
+   first digit is flipped: it breaks the Marshal header and the
+   (fired, kill) pair alike. *)
+
+let test_campaign_journal_corruption () =
+  let file = Filename.temp_file "ijdt-campaign" ".jsonl" in
+  let single = run_small ~journal:file () in
+  Test_supervise.flip_first_ok_payload file;
+  let resumed = run_small ~resume:file () in
+  Alcotest.(check (list string))
+    "per-unit verdicts == single-shot" (unit_report_strings single)
+    (unit_report_strings resumed);
+  check_string "count-based tables == single-shot"
+    (render_counts single.Campaign.sup_campaign)
+    (render_counts resumed.Campaign.sup_campaign);
+  Sys.remove file
+
+let test_mutate_journal_corruption () =
+  let file = Filename.temp_file "ijdt-mutate" ".jsonl" in
+  let single = run_kill_matrix ~journal:file 1 in
+  Test_supervise.flip_first_ok_payload file;
+  let resumed = run_kill_matrix ~resume:file 1 in
+  Alcotest.(check (list string))
+    "mutant outcomes == single-shot" (outcome_strings single)
+    (outcome_strings resumed);
+  check_bool "robustness counts == single-shot" true
+    (resumed.Campaign.km_robustness = single.Campaign.km_robustness);
+  Sys.remove file
 
 let suite =
   [
@@ -531,4 +564,10 @@ let suite =
       test_wire_decoder_recovery;
     Alcotest.test_case "procpool determinism --workers 1 == 4 == in-process"
       `Slow test_procpool_determinism;
+    Alcotest.test_case "kill-matrix determinism --workers 2 == in-process"
+      `Slow test_kill_matrix_workers;
+    Alcotest.test_case "campaign resume recomputes a corrupt journal entry"
+      `Slow test_campaign_journal_corruption;
+    Alcotest.test_case "mutate resume recomputes a corrupt journal entry"
+      `Slow test_mutate_journal_corruption;
   ]

@@ -228,46 +228,9 @@ let test_concurrent_writer_race () =
 
 (* --- determinism with persistence on: -j 1 == -j 8, cold == warm --- *)
 
-let take k xs = List.filteri (fun i _ -> i < k) xs
-
-let subset_units () =
-  List.concat_map
-    (fun c -> List.map (fun s -> (c, s)) (take 4 (Campaign.subjects_for c)))
-    Jit.Cogits.all
-
-let run_subset jobs =
-  Solver.Solve.reset_cache ();
-  Concolic.Explorer.reset_cache ();
-  let flat =
-    Campaign.run_units ~jobs ~validate:true
-      ~defects:Interpreter.Defects.paper ~arches:Jit.Codegen.all_arches
-      (subset_units ())
-  in
-  {
-    Campaign.defects = Interpreter.Defects.paper;
-    arches = Jit.Codegen.all_arches;
-    results =
-      List.map
-        (fun c ->
-          {
-            Campaign.compiler = c;
-            instructions =
-              List.filter_map
-                (fun (c', r) -> if c' = c then Some r else None)
-                flat;
-          })
-        Jit.Cogits.all;
-  }
-
-let render_counts (c : Campaign.t) =
-  let buf = Buffer.create 4096 in
-  let ppf = Format.formatter_of_buffer buf in
-  Ijdt_core.Tables.table2 ppf c;
-  Ijdt_core.Tables.table3 ppf c;
-  Ijdt_core.Tables.causes ppf c;
-  Ijdt_core.Tables.validation_table ppf c;
-  Format.pp_print_flush ppf ();
-  Buffer.contents buf
+(* the exec suite's campaign subset, at 4 subjects per compiler *)
+let run_subset jobs = Test_exec.run_subset ~per_compiler:4 jobs
+let render_counts = Test_exec.render_counts
 
 let test_campaign_determinism_with_store () =
   let dir = fresh_dir () in

@@ -214,6 +214,40 @@ let test_journal_torn_line () =
     ((Hashtbl.find t "k1").J.payload = "abc");
   Sys.remove file
 
+(* Flip the first payload digit of a journal's first [ok] entry, as bit
+   rot or a stray edit would. *)
+let flip_first_ok_payload file =
+  let ic = open_in_bin file in
+  let text = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
+  close_in ic;
+  let rec find i field =
+    if Bytes.sub_string text i (String.length field) = field then
+      i + String.length field
+    else find (i + 1) field
+  in
+  let pos = find (find 0 "\"status\":\"ok\"") "\"payload\":\"" in
+  Bytes.set text pos (if Bytes.get text pos = '0' then '1' else '0');
+  let oc = open_out_bin file in
+  output_bytes oc text;
+  close_out oc
+
+(* a flipped payload digit fails the entry's checksum: the line is
+   dropped like a torn one, and its bytes never reach a decoder *)
+let test_journal_checksum () =
+  let file = Filename.temp_file "ijdt-journal" ".jsonl" in
+  let oc = open_out file in
+  J.write_header oc ~config:"sum";
+  J.append oc
+    { J.key = "k1"; status = J.Ok; attempts = 1; detail = ""; payload = "abc" };
+  J.append oc
+    { J.key = "k2"; status = J.Ok; attempts = 1; detail = ""; payload = "def" };
+  close_out oc;
+  flip_first_ok_payload file;
+  let t = J.load ~config:"sum" file in
+  check_bool "corrupt entry dropped" false (Hashtbl.mem t "k1");
+  check_bool "intact entry kept" true ((Hashtbl.find t "k2").J.payload = "def");
+  Sys.remove file
+
 let test_resume_skips_precomputed () =
   let executed = Atomic.make 0 in
   let recorded = ref [] in
@@ -246,43 +280,10 @@ let test_journal_resume_equivalence () =
   let oc = open_out file in
   J.write_header oc ~config;
   let record i (o : int S.outcome) =
-    let entry =
-      match o.S.verdict with
-      | S.Ok r ->
-          {
-            J.key = string_of_int i;
-            status = J.Ok;
-            attempts = o.S.attempts;
-            detail = "";
-            payload = Marshal.to_string r [];
-          }
-      | S.Timed_out reason ->
-          {
-            J.key = string_of_int i;
-            status = J.Timed_out;
-            attempts = o.S.attempts;
-            detail = reason;
-            payload = "";
-          }
-      | S.Unit_crashed f ->
-          {
-            J.key = string_of_int i;
-            status = J.Crashed;
-            attempts = o.S.attempts;
-            detail = f.S.exn;
-            payload = "";
-          }
-      | S.Worker_died status ->
-          {
-            J.key = string_of_int i;
-            status = J.Worker_died;
-            attempts = o.S.attempts;
-            detail = status;
-            payload = "";
-          }
-      | S.Quarantined _ -> assert false
-    in
-    J.append oc entry
+    J.append oc
+      (J.entry_of_outcome ~key:(string_of_int i)
+         ~encode:(fun r -> Marshal.to_string r [])
+         o)
   in
   let full =
     S.run ~jobs:4 ~policy:no_retry ~record ~group:(fun _ -> "g") work units
@@ -304,15 +305,7 @@ let test_journal_resume_equivalence () =
   check_int "truncated journal holds 8 units" 8 (Hashtbl.length tbl);
   let pre i =
     Option.map
-      (fun (e : J.entry) ->
-        let verdict =
-          match e.J.status with
-          | J.Ok -> S.Ok (Marshal.from_string e.J.payload 0 : int)
-          | J.Timed_out -> S.Timed_out e.J.detail
-          | J.Crashed -> S.Unit_crashed { S.exn = e.J.detail; backtrace = "" }
-          | J.Worker_died -> S.Worker_died e.J.detail
-        in
-        { S.verdict; attempts = e.J.attempts })
+      (J.outcome_of_entry ~decode:(fun p -> (Marshal.from_string p 0 : int)))
       (Hashtbl.find_opt tbl (string_of_int i))
   in
   let resumed =
@@ -398,4 +391,6 @@ let suite =
     Alcotest.test_case "journal/truncate/resume equivalence" `Quick
       test_journal_resume_equivalence;
     QCheck_alcotest.to_alcotest qcheck_chaos_contained;
+    Alcotest.test_case "journal drops an entry failing its checksum" `Quick
+      test_journal_checksum;
   ]
