@@ -313,6 +313,7 @@ type phase = {
   p_solver_queries : int;
   p_path_hits : int;
   p_path_misses : int;
+  p_searches : Solver.Solve.search_stats;
   p_store_enabled : bool;
   p_store : Exec.Store.stats;
   p_per_compiler : (string * float * float) list;
@@ -345,6 +346,7 @@ let run_perf ~jobs ~quick ~json_label () =
      reset and the phase wrapper picks up the remainder *)
   let sh = ref 0 and sm = ref 0 and sq = ref 0 in
   let ph = ref 0 and pm = ref 0 in
+  let se = ref 0 and sr = ref 0 in
   let reset () =
     Solver.Solve.reset_cache ();
     Concolic.Explorer.reset_cache ()
@@ -356,10 +358,13 @@ let run_perf ~jobs ~quick ~json_label () =
     sm := !sm + ss.Exec.Memo.misses;
     sq := !sq + Solver.Solve.queries_posed ();
     ph := !ph + ps.Exec.Memo.hits;
-    pm := !pm + ps.Exec.Memo.misses
+    pm := !pm + ps.Exec.Memo.misses;
+    let ws = Solver.Solve.search_stats () in
+    se := !se + ws.Solver.Solve.exhausted;
+    sr := !sr + ws.Solver.Solve.refuted
   in
   let phase name f =
-    sh := 0; sm := 0; sq := 0; ph := 0; pm := 0;
+    sh := 0; sm := 0; sq := 0; ph := 0; pm := 0; se := 0; sr := 0;
     reset ();
     Exec.Store.reset_counters ();
     let t0 = Exec.Clock.now () in
@@ -397,10 +402,11 @@ let run_perf ~jobs ~quick ~json_label () =
     in
     Printf.printf
       "  %-24s %7.2fs  paths %5d  curated %5d  solver %6d queries \
-       (%5.1f%% hit)  path-cache %d/%d hit/miss%s\n%!"
+       (%5.1f%% hit)  path-cache %d/%d hit/miss  searches %d/%d \
+       exhausted/refuted%s\n%!"
       name wall paths curated !sq
       (if !sq = 0 then 0.0 else 100.0 *. float_of_int !sh /. float_of_int !sq)
-      !ph !pm
+      !ph !pm !se !sr
       (if Exec.Store.enabled () then
          Printf.sprintf "  store %d/%d hit/miss, %d written"
            store.Exec.Store.hits store.Exec.Store.misses
@@ -416,6 +422,7 @@ let run_perf ~jobs ~quick ~json_label () =
       p_solver_queries = !sq;
       p_path_hits = !ph;
       p_path_misses = !pm;
+      p_searches = { Solver.Solve.exhausted = !se; refuted = !sr };
       p_store_enabled = Exec.Store.enabled ();
       p_store = store;
       p_per_compiler = per_compiler;
@@ -549,6 +556,23 @@ let run_perf ~jobs ~quick ~json_label () =
       "  query reduction vs PR 3: %s (%d -> %d cold queries, %.1f%%; \
        need >= 20%%)\n%!"
       qr_status pr3_queries qr_measured (100.0 *. qr_reduction);
+  (* exhausted-search gate: the difference-bound refutation answers the
+     infeasible bounds conjunctions before the witness search, so only
+     the shapes it cannot see (overflow of \\ and rem, float exponents,
+     NaN/Inf) still run the search to its end.  Gated on the full
+     universe only; quick runs report the counts. *)
+  let max_exhausted = 10 in
+  let ex_measured = shared.p_searches.Solver.Solve.exhausted in
+  let ex_refuted = shared.p_searches.Solver.Solve.refuted in
+  let ex_status =
+    if quick then "skipped"
+    else if ex_measured <= max_exhausted then "passed"
+    else "failed"
+  in
+  Printf.printf
+    "  exhausted searches: %s (%d cold searches run to exhaustion, %d \
+     refuted before the search; need <= %d on the full universe)\n%!"
+    ex_status ex_measured ex_refuted max_exhausted;
   (* process-pool phase: the same supervised workload in-process and
      through --workers N disposable worker processes.  Isolation has a
      real price — process spawn, wire marshalling, per-worker cold
@@ -587,9 +611,15 @@ let run_perf ~jobs ~quick ~json_label () =
     (s, wall)
   in
   let pool_workers = max 2 (min jobs 8) in
+  (* the in-process side runs at its best width on the host: more
+     domains than cores only oversubscribes them *)
+  let inproc_jobs = max 1 (min jobs cores) in
   let sup_inproc, sup_inproc_wall =
-    sup_phase "supervised_inprocess" (fun () ->
-        Ijdt_core.Campaign.run_supervised ~jobs ~defects ~units:pool_units ())
+    sup_phase
+      (Printf.sprintf "supervised_inprocess_j%d" inproc_jobs)
+      (fun () ->
+        Ijdt_core.Campaign.run_supervised ~jobs:inproc_jobs ~defects
+          ~units:pool_units ())
   in
   let sup_pool, sup_pool_wall =
     sup_phase
@@ -615,9 +645,9 @@ let run_perf ~jobs ~quick ~json_label () =
     if sup_inproc_wall > 0.0 then sup_pool_wall /. sup_inproc_wall else 0.0
   in
   Printf.printf
-    "  workers pool: %.2fx the in-process wall clock at %d workers, \
-     verdicts %s\n%!"
-    pool_overhead pool_workers
+    "  workers pool: %.2fx the in-process (-j %d) wall clock at %d \
+     workers, verdicts %s\n%!"
+    pool_overhead inproc_jobs pool_workers
     (if pool_verdicts_identical then "identical" else "DIVERGED");
   let gate_failures =
     List.filter_map
@@ -664,6 +694,12 @@ let run_perf ~jobs ~quick ~json_label () =
                  baseline %d (need >= 20%%)"
                 qr_measured (100.0 *. qr_reduction) pr3_queries)
          else None);
+        (if ex_status = "failed" then
+           Some
+             (Printf.sprintf
+                "%d cold witness searches ran to exhaustion (need <= %d)"
+                ex_measured max_exhausted)
+         else None);
       ]
   in
   (match json_label with
@@ -689,6 +725,7 @@ let run_perf ~jobs ~quick ~json_label () =
            \"solver\":{\"queries\":%d,\"hits\":%d,\"misses\":%d,\
            \"hit_rate\":%.4f,\"consistent\":%b},\
            \"path_summaries\":{\"hits\":%d,\"misses\":%d,\"hit_rate\":%.4f},\
+           \"searches\":{\"exhausted\":%d,\"refuted\":%d},\
            \"store\":{\"enabled\":%b,\"hits\":%d,\"misses\":%d,\
            \"loads\":%d,\"writes\":%d},\
            \"per_compiler\":[%s]}"
@@ -701,6 +738,7 @@ let run_perf ~jobs ~quick ~json_label () =
           (p.p_solver_hits + p.p_solver_misses = p.p_solver_queries)
           p.p_path_hits p.p_path_misses
           (rate p.p_path_hits (p.p_path_hits + p.p_path_misses))
+          p.p_searches.Solver.Solve.exhausted p.p_searches.Solver.Solve.refuted
           p.p_store_enabled p.p_store.Exec.Store.hits
           p.p_store.Exec.Store.misses p.p_store.Exec.Store.loads
           p.p_store.Exec.Store.writes
@@ -712,7 +750,8 @@ let run_perf ~jobs ~quick ~json_label () =
          \"cores\":%d,\"universe\":\"%s\",\"phases\":[%s],\
          \"speedup_vs_baseline\":{\"shared_sequential\":%.3f,\
          \"shared_parallel\":%.3f},\
-         \"workers\":{\"workers\":%d,\"inprocess_wall_s\":%.3f,\
+         \"workers\":{\"workers\":%d,\"inprocess_jobs\":%d,\
+         \"inprocess_wall_s\":%.3f,\
          \"pool_wall_s\":%.3f,\"overhead\":%.3f,\
          \"verdicts_identical\":%b,\"deaths\":%d,\"preempted\":%d,\
          \"redeals\":%d,\"garbage\":%d,\"status\":\"%s\"},\
@@ -723,7 +762,9 @@ let run_perf ~jobs ~quick ~json_label () =
          \"parallel_gate\":{\"cores\":%d,\"jobs\":%d,\
          \"required_speedup\":4.0,\"measured\":%.3f,\"status\":\"%s\"},\
          \"query_reduction\":{\"pr3_baseline\":%d,\"measured\":%d,\
-         \"reduction\":%.4f,\"required\":0.20,\"status\":\"%s\"}}\n"
+         \"reduction\":%.4f,\"required\":0.20,\"status\":\"%s\"},\
+         \"exhausted_searches\":{\"max\":%d,\"measured\":%d,\
+         \"refuted\":%d,\"status\":\"%s\"}}\n"
         label jobs
         (Exec.Pool.default_jobs ())
         cores
@@ -731,7 +772,7 @@ let run_perf ~jobs ~quick ~json_label () =
         (String.concat ","
            (List.map phase_json [ baseline; shared; par; cold; warm ]))
         (speedup baseline shared) (speedup baseline par)
-        pool_workers sup_inproc_wall sup_pool_wall pool_overhead
+        pool_workers inproc_jobs sup_inproc_wall sup_pool_wall pool_overhead
         pool_verdicts_identical pool_stats.Exec.Procpool.p_deaths
         pool_stats.Exec.Procpool.p_preempted
         pool_stats.Exec.Procpool.p_redeals pool_stats.Exec.Procpool.p_garbage
@@ -744,7 +785,8 @@ let run_perf ~jobs ~quick ~json_label () =
          then "passed"
          else "failed")
         cores jobs par_speedup par_status
-        pr3_queries qr_measured qr_reduction qr_status;
+        pr3_queries qr_measured qr_reduction qr_status
+        max_exhausted ex_measured ex_refuted ex_status;
       close_out oc;
       Printf.printf "  wrote %s\n%!" file);
   if gate_failures <> [] then begin

@@ -16,8 +16,24 @@
       either conflict (Unsat) or resolve to an object description;
    3. interval propagation over the integer atoms (untagged values,
       object sizes, byte reads) through linear forms;
+   3c. a difference-bound refutation: comparisons of the shape
+      [±x + k ⋈ 0] or [x - y + k ⋈ 0] plus every atom's propagated
+      interval become the edges of a difference graph; a negative cycle
+      proves no assignment inside the intervals satisfies them;
    4. a witness search over the remaining integer/float atoms: biased
-      candidates, bounded random sampling, and a linear repair loop. *)
+      candidates, bounded random sampling, and a linear repair loop.
+
+   Step 3c answers exactly what step 4 would.  Every assignment the
+   search tries lies inside the propagated intervals (the walk filters
+   its candidates with [Interval.contains], sampling draws from the
+   interval, repair clamps to it), and inside those bounds the
+   evaluator computes each difference literal exactly.  So a negative
+   cycle means the search can only run its sampling loop to the end and
+   give up with [C_unknown "no witness found"].  The shortcut returns
+   that same verdict (not [C_unsat]) and charges the fuel the exhausted
+   loop charges, [sample_tries * sample_cost]: verdicts, memo keys,
+   store entries and fuel-limited timeouts are the same with or without
+   it — only the time to reach them differs. *)
 
 open Symbolic
 
@@ -482,10 +498,120 @@ and combine a b sign =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
+(* Difference-bound refutation (step 3c)                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Bellman-Ford sums at most [max_dbm_nodes] edge weights of magnitude
+   [<= Limits.max_magnitude] (2^56): 2^61, no overflow. *)
+let max_dbm_nodes = 32
+
+let difference_refutes ~(bounds : Sym_expr.t -> Interval.t option)
+    (cmps : (Sym_expr.cmp * Sym_expr.t * Sym_expr.t) list) : bool =
+  let small v = v > -Limits.max_magnitude && v < Limits.max_magnitude in
+  let bounded t =
+    match bounds t with
+    | Some iv -> small iv.Interval.lo && small iv.Interval.hi
+    | None -> false
+  in
+  (* A side whose linear form has at most two unit-coefficient bounded
+     atoms and a small constant: its true value stays far inside the
+     native int range, so the evaluator's wrapping arithmetic (exact
+     modulo 2^63, the same ring [linear_form] computes in) gets it
+     exactly. *)
+  let exact_side e =
+    match linear_form e with
+    | Some (ts, c) ->
+        small c
+        && List.length ts <= 2
+        && List.for_all (fun (t, k) -> abs k = 1 && bounded t) ts
+    | None -> false
+  in
+  (* Node 0 is the constant zero; [edge u v w] encodes [v - u <= w].
+     Dropping an edge whose weight is out of range only weakens the
+     system. *)
+  let nodes = Hashtbl.create 8 in
+  let node t =
+    match Hashtbl.find_opt nodes t with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length nodes + 1 in
+        Hashtbl.add nodes t i;
+        i
+  in
+  let edges = ref [] in
+  let edge u v w = if small w then edges := (u, v, w) :: !edges in
+  List.iter
+    (fun (c, a, b) ->
+      if exact_side a && exact_side b then
+        let diff =
+          match linear_form (Sub (a, b)) with
+          | Some ([], k) -> Some (0, 0, k)
+          | Some ([ (x, 1) ], k) -> Some (node x, 0, k)
+          | Some ([ (x, -1) ], k) -> Some (0, node x, k)
+          | Some ([ (x, 1); (y, -1) ], k) | Some ([ (y, -1); (x, 1) ], k) ->
+              Some (node x, node y, k)
+          | _ -> None
+        in
+        match diff with
+        | None -> ()
+        | Some (p, n, k) -> (
+            (* p - n + k ⋈ 0 *)
+            let at_most w = edge n p w and at_least w = edge p n (-w) in
+            match (c : Sym_expr.cmp) with
+            | Cle -> at_most (-k)
+            | Clt -> at_most (-k - 1)
+            | Cge -> at_least (-k)
+            | Cgt -> at_least (-k + 1)
+            | Ceq ->
+                at_most (-k);
+                at_least (-k)
+            | Cne -> ()))
+    cmps;
+  Hashtbl.iter
+    (fun t i ->
+      match bounds t with
+      | Some iv ->
+          edge 0 i iv.Interval.hi;
+          edge i 0 (-iv.Interval.lo)
+      | None -> ())
+    nodes;
+  let n = Hashtbl.length nodes + 1 in
+  n <= max_dbm_nodes
+  && begin
+       (* Round-synchronous relaxation from a virtual source: after [r]
+          rounds [dist] holds the lightest walk of at most [r] edges.
+          Without a negative cycle it is final after [n - 1] rounds, so
+          a change in round [n] proves one. *)
+       let dist = Array.make n 0 in
+       let relax () =
+         let next = Array.copy dist in
+         List.iter
+           (fun (u, v, w) ->
+             if dist.(u) + w < next.(v) then next.(v) <- dist.(u) + w)
+           !edges;
+         let changed = next <> dist in
+         Array.blit next 0 dist 0 n;
+         changed
+       in
+       let rec rounds r = relax () && (r = n || rounds (r + 1)) in
+       rounds 1
+     end
+
+(* ------------------------------------------------------------------ *)
 (* The conjunction solver                                              *)
 (* ------------------------------------------------------------------ *)
 
 type conj_result = C_sat of Model.t | C_unsat | C_unknown of string
+
+(* The sampling loop of step 4 draws [sample_tries] assignments and
+   charges [sample_cost] fuel for each; step 3c charges the product. *)
+let sample_tries = 4000
+let sample_cost = 4
+
+(* Searches that ran to exhaustion, and searches step 3c answered
+   without running (see [search_stats]). *)
+let exhausted_counter = Atomic.make 0
+let refuted_counter = Atomic.make 0
 
 let collect_oop_terms lits =
   let terms = Hashtbl.create 16 in
@@ -774,6 +900,18 @@ let solve_conjunction ?(seed = 0x5EED) (lits : lit list) : conj_result =
                 | _ -> ())
               lits;
           if !unsat then C_unsat
+          else if
+            difference_refutes ~bounds:(Hashtbl.find_opt intervals)
+              (List.filter_map
+                 (function L_cmp (c, a, b) -> Some (c, a, b) | _ -> None)
+                 lits)
+          then begin
+            (* 3c. The search cannot succeed: answer as its exhausted
+               sampling loop would, fuel included. *)
+            Exec.Budget.tick ~cost:(sample_tries * sample_cost) ();
+            Atomic.incr refuted_counter;
+            C_unknown "no witness found"
+          end
           else begin
             (* 4. Witness search. *)
             let rng = Random.State.make [| seed |] in
@@ -846,8 +984,8 @@ let solve_conjunction ?(seed = 0x5EED) (lits : lit list) : conj_result =
             ignore (walk int_atoms float_atoms 4096);
             (* 4b. random sampling *)
             let tries = ref 0 in
-            while (not !found) && !tries < 4000 do
-              Exec.Budget.tick ~cost:4 ();
+            while (not !found) && !tries < sample_tries do
+              Exec.Budget.tick ~cost:sample_cost ();
               incr tries;
               List.iter
                 (fun a ->
@@ -927,7 +1065,10 @@ let solve_conjunction ?(seed = 0x5EED) (lits : lit list) : conj_result =
             done;
             if not !found then
               if value_lits = [] then found := true else ();
-            if not !found then C_unknown "no witness found"
+            if not !found then begin
+              Atomic.incr exhausted_counter;
+              C_unknown "no witness found"
+            end
             else begin
               (* 5. Assemble the model. *)
               let model = Model.create () in
@@ -1204,6 +1345,16 @@ let solve ?(seed = 0x5EED) (conds : Sym_expr.t list) : verdict =
 
 let cache_stats () = Exec.Memo.stats memo
 
+type search_stats = { exhausted : int; refuted : int }
+
+let search_stats () =
+  {
+    exhausted = Atomic.get exhausted_counter;
+    refuted = Atomic.get refuted_counter;
+  }
+
 let reset_cache () =
   Atomic.set queries_posed_counter 0;
+  Atomic.set exhausted_counter 0;
+  Atomic.set refuted_counter 0;
   Exec.Memo.clear memo

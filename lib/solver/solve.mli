@@ -3,8 +3,9 @@
     Specialised to the constraint shapes the shadow machine emits, in the
     DPLL(T) spirit: bounded expansion of the few disjunctions that arise
     (negated small-int range checks), a type/class assignment pass over
-    oop-sorted terms, interval propagation over the integer atoms, and a
-    witness search (biased candidates, bounded random sampling, linear
+    oop-sorted terms, interval propagation over the integer atoms, a
+    difference-bound refutation ({!difference_refutes}) and a witness
+    search (biased candidates, bounded random sampling, linear
     repair).
 
     Mirrors the paper's solver limits (§4.3): conjunctions containing
@@ -78,6 +79,31 @@ val solve_uncached : ?seed:int -> Symbolic.Sym_expr.t list -> verdict
 (** {!solve} bypassing the memo table and the store: always runs the
     decision procedure (after the same canonicalisation).  The
     determinism oracle for the caches. *)
+
+val difference_refutes :
+  bounds:(Symbolic.Sym_expr.t -> Interval.t option) ->
+  (Symbolic.Sym_expr.cmp * Symbolic.Sym_expr.t * Symbolic.Sym_expr.t) list ->
+  bool
+(** [difference_refutes ~bounds cmps]: the comparisons [a ⋈ b] of the
+    shape [±x + k ⋈ 0] or [x - y + k ⋈ 0] (each side at most two
+    unit-coefficient atoms plus a constant, all within 56 bits), together
+    with the atoms' [bounds], contain a negative cycle — so no
+    assignment of the atoms inside [bounds] satisfies [cmps].  Other
+    comparisons are ignored, which only weakens the check.  The decision
+    procedure calls it with the propagated intervals before the witness
+    search; when it holds, the search could only end in
+    [Unknown "no witness found"], which is answered (with the same fuel
+    charge) without running it. *)
+
+type search_stats = {
+  exhausted : int;  (** witness searches run to the end without a witness *)
+  refuted : int;  (** searches skipped because {!difference_refutes} held *)
+}
+
+val search_stats : unit -> search_stats
+(** Witness-search counters since the last {!reset_cache}.  Counted on
+    the decision procedure's runs only (cache and store hits run
+    none); never part of any report compared for byte identity. *)
 
 val cache_stats : unit -> Exec.Memo.stats
 (** Hit/miss counters of the solver memo since the last

@@ -195,6 +195,22 @@ let test_as_float_defect_visible_to_exploration () =
   in
   check_bool "fixed failure on pointer receiver" true non_int_failure
 
+(* primFFIStoreFloat64's bounds conjunctions are where cold native
+   exploration spent its time; its exploration counts are pinned so a
+   faster solver can never change what the explorer finds. *)
+let test_ffi_store_float64_counts () =
+  let info =
+    List.find
+      (fun (i : Interpreter.Primitive_table.info) ->
+        i.name = "primFFIStoreFloat64")
+      Interpreter.Primitive_table.all
+  in
+  let r = Concolic.Explorer.explore_uncached (Concolic.Path.Native info.id) in
+  check_int "iterations" 7 r.iterations;
+  check_int "paths" 7 (List.length r.paths);
+  check_int "unsat negations" 9 r.unsat_negations;
+  check_int "skipped negations" 8 r.skipped_negations
+
 let test_effects_recorded () =
   let r = explore (Concolic.Path.Bytecode (Op.Common_special Op.Sel_at_put)) in
   let with_effects =
@@ -234,6 +250,8 @@ let suite =
       test_materialisation_deterministic;
     Alcotest.test_case "asFloat defect visible (Listing 5)" `Quick
       test_as_float_defect_visible_to_exploration;
+    Alcotest.test_case "primFFIStoreFloat64 exploration counts" `Quick
+      test_ffi_store_float64_counts;
     Alcotest.test_case "heap effects recorded" `Quick test_effects_recorded;
     Alcotest.test_case "return value recorded" `Quick test_return_value_recorded;
   ]

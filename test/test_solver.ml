@@ -400,6 +400,149 @@ let test_normalize_drops_noise () =
   check_bool "complement pair syntactically unsat" true
     (Solve.prepared_unsat (Solve.prepare [ c; Sym.Not c ]))
 
+(* --- difference-bound refutation (step 3c) --- *)
+
+(* Three bounded atoms: two structure sizes (0..64) and a byte read
+   (0..255).  [Is_pointers] keeps the sizes at their base intervals. *)
+let dbm_p = oop_var "p" and dbm_q = oop_var "q" and dbm_b = oop_var "b"
+
+let dbm_atoms =
+  [| Sym.Num_slots_of dbm_p; Sym.Fixed_size_of dbm_q;
+     Sym.Byte_at (dbm_b, Sym.Int_const 0) |]
+
+let dbm_base (t : Sym.t) =
+  match t with
+  | Byte_at _ -> Some { Interval.lo = 0; hi = 255 }
+  | _ -> Some { Interval.lo = 0; hi = 64 }
+
+(* A case: a domain [lo, hi] per atom (at most 21 values, so exhaustive
+   enumeration stays cheap) and a few difference comparisons in the
+   shapes the explorer emits. *)
+let dbm_gen =
+  QCheck.Gen.(
+    let cmp_op = oneofl [ Sym.Ceq; Sym.Cne; Sym.Clt; Sym.Cle; Sym.Cgt; Sym.Cge ] in
+    let domain =
+      map2 (fun lo w -> (lo, lo + w)) (int_range 0 20) (int_range 0 20)
+    in
+    let diff =
+      map
+        (fun (op, i, j, k, shape) ->
+          let x = dbm_atoms.(i) and y = dbm_atoms.(j) in
+          match shape with
+          | 0 -> Sym.Cmp (op, Sym.Add (x, Sym.Int_const k), y)
+          | 1 -> Sym.Cmp (op, x, Sym.Add (y, Sym.Int_const k))
+          | 2 -> Sym.Cmp (op, Sym.Sub (x, y), Sym.Int_const k)
+          | _ -> Sym.Cmp (op, Sym.Neg x, Sym.Int_const k))
+        (tup5 cmp_op (int_bound 2) (int_bound 2) (int_range (-12) 12)
+           (int_bound 3))
+    in
+    pair (list_repeat 3 domain) (list_size (int_range 1 4) diff))
+
+let dbm_conds (domains, diffs) =
+  let bounds =
+    List.concat
+      (List.mapi
+         (fun i (lo, hi) ->
+           [ Sym.Cmp (Sym.Cge, dbm_atoms.(i), Sym.Int_const lo);
+             Sym.Cmp (Sym.Cle, dbm_atoms.(i), Sym.Int_const hi) ])
+         domains)
+  in
+  (Sym.Is_pointers dbm_p :: Sym.Is_pointers dbm_q :: bounds) @ diffs
+
+let dbm_refutes conds =
+  Solve.difference_refutes ~bounds:dbm_base
+    (List.filter_map
+       (function Sym.Cmp (c, a, b) -> Some (c, a, b) | _ -> None)
+       conds)
+
+(* Exhaustive enumeration over the domains. *)
+let dbm_has_model (domains, diffs) =
+  let env = Eval.create_env () in
+  let holds () =
+    List.for_all
+      (function
+        | Sym.Cmp (c, a, b) ->
+            Eval.cmp_holds c (Eval.eval_int env a) (Eval.eval_int env b)
+        | _ -> true)
+      diffs
+  in
+  let rec go i = function
+    | [] -> holds ()
+    | (lo, hi) :: rest ->
+        let rec try_v v =
+          v <= hi
+          && begin
+               Hashtbl.replace env.Eval.ints dbm_atoms.(i) v;
+               go (i + 1) rest || try_v (v + 1)
+             end
+        in
+        try_v lo
+  in
+  go 0 domains
+
+let arb_dbm =
+  QCheck.make
+    ~print:(fun case ->
+      String.concat " & " (List.map Sym.to_string (dbm_conds case)))
+    dbm_gen
+
+let qcheck_dbm_sound =
+  QCheck.Test.make
+    ~name:"qcheck: difference refutation agrees with enumeration" ~count:300
+    arb_dbm (fun ((_, diffs) as case) ->
+      let refuted = dbm_refutes (dbm_conds case) in
+      let model = dbm_has_model case in
+      (* sound always; complete when no [Cne] is left out of the graph *)
+      let has_ne =
+        List.exists (function Sym.Cmp (Sym.Cne, _, _) -> true | _ -> false) diffs
+      in
+      (not (refuted && model)) && (has_ne || refuted || model))
+
+let qcheck_dbm_search =
+  QCheck.Test.make
+    ~name:"qcheck: the search never finds a refuted witness" ~count:200
+    arb_dbm (fun case ->
+      let conds = dbm_conds case in
+      match Solve.solve_uncached conds with
+      | Solve.Sat m -> (not (dbm_refutes conds)) && model_satisfies m conds
+      | _ -> true)
+
+(* The primFFIStoreInt64 bounds check on a negated prefix:
+   0 <= x, size <= x, x + 8 <= size.  Step 3c answers it without the
+   search, with the verdict and the fuel charge of an exhausted search. *)
+let ffi_bounds_conjunction () =
+  let rcvr = oop_var "rcvr" and arg = oop_var "arg" in
+  let x = Sym.Integer_value_of arg and size = Sym.Indexable_size_of rcvr in
+  [
+    Sym.Has_class (rcvr, Vm_objects.Class_table.external_address_id);
+    Sym.Is_small_int arg;
+    Sym.Cmp (Sym.Cge, x, Sym.Int_const 0);
+    Sym.Cmp (Sym.Cge, x, size);
+    Sym.Cmp (Sym.Cle, Sym.Add (x, Sym.Int_const 8), size);
+  ]
+
+let test_ffi_bounds_pinned () =
+  let conds = ffi_bounds_conjunction () in
+  Solve.reset_cache ();
+  (match Solve.solve conds with
+  | Solve.Unknown r -> Alcotest.(check string) "verdict" "all branches unknown" r
+  | _ -> Alcotest.fail "expected Unknown");
+  let s = Solve.search_stats () in
+  Alcotest.(check int) "refuted before the search" 1 s.Solve.refuted;
+  Alcotest.(check int) "no search run to exhaustion" 0 s.Solve.exhausted;
+  (* 16 for the query + 4000 samples x 4: the exhausted search's charge *)
+  let returns fuel =
+    Solve.reset_cache ();
+    match Exec.Budget.with_budget ~fuel (fun () -> Solve.solve conds) with
+    | _ -> true
+    | exception Exec.Budget.Exhausted _ -> false
+  in
+  check_bool "returns at fuel 16016" true (returns 16016);
+  check_bool "exhausted at fuel 16015" false (returns 16015);
+  Solve.reset_cache ();
+  let s = Solve.search_stats () in
+  Alcotest.(check int) "reset clears refuted" 0 s.Solve.refuted
+
 let suite =
   [
     Alcotest.test_case "empty conjunction sat" `Quick test_empty_is_sat;
@@ -432,4 +575,8 @@ let suite =
       test_permuted_conjunction_hits_memo;
     Alcotest.test_case "normalize drops noise" `Quick
       test_normalize_drops_noise;
+    QCheck_alcotest.to_alcotest qcheck_dbm_sound;
+    QCheck_alcotest.to_alcotest qcheck_dbm_search;
+    Alcotest.test_case "FFI bounds conjunction: verdict and fuel pinned"
+      `Quick test_ffi_bounds_pinned;
   ]
