@@ -40,7 +40,9 @@
 # merges into ROBUST_ci.json as its process_chaos section); the
 # campaign aggregate JSON must be byte-identical at --workers 1, 2 and
 # 4 and equal to the in-process engine's modulo worker-side cache
-# counters; and a coordinator SIGKILLed mid-campaign must resume from
+# counters; the extracted:300 validate report must be byte-identical
+# at -j 1 and -j 2 and equal at --workers 2 modulo the same counters;
+# and a coordinator SIGKILLed mid-campaign must resume from
 # its fsync'd --journal-sync journal to a byte-identical report.
 #
 # The warm-store gate follows: the same campaign twice against one
@@ -258,6 +260,32 @@ assert proc["deaths"] == proc["redeals"] == proc["garbage"] == 0, \
 pool.pop("caches", None); inproc.pop("caches", None)
 assert pool == inproc, "workers aggregates diverge from in-process engine"
 print("ci: worker-count determinism: workers 1 == 2 == 4, == in-process "
+      "modulo pool process stats")
+EOF
+# extracted-validation determinism: each unit's static analysis and
+# each path's compiled IR are computed once and handed down within the
+# unit, never shared across domains or processes.  The validate report
+# over a seeded extracted:300 corpus must be byte-identical at -j 1 and
+# -j 2, and the --workers 2 report must equal them modulo the pool's
+# process stats and the worker-side cache counters (as above)
+dune exec bin/vmtest.exe -- validate --corpus extracted:300 -j 1 \
+  --json _build/ci-vx-j1.json > /dev/null
+dune exec bin/vmtest.exe -- validate --corpus extracted:300 -j 2 \
+  --json _build/ci-vx-j2.json > /dev/null
+dune exec bin/vmtest.exe -- validate --corpus extracted:300 --workers 2 \
+  --json _build/ci-vx-w2.json > /dev/null
+cmp _build/ci-vx-j1.json _build/ci-vx-j2.json
+python3 - <<'EOF'
+import json
+pool = json.load(open("_build/ci-vx-w2.json"))
+inproc = json.load(open("_build/ci-vx-j1.json"))
+proc = pool["supervision"].pop("process")
+assert inproc["supervision"].pop("process") is None
+assert proc["deaths"] == proc["redeals"] == proc["garbage"] == 0, \
+    f"extracted validate workers run had incidents: {proc}"
+pool.pop("caches"); inproc.pop("caches")
+assert pool == inproc, "extracted validate: --workers 2 diverges from -j 1"
+print("ci: extracted-validation determinism: -j 1 == -j 2 == --workers 2 "
       "modulo pool process stats")
 EOF
 # crash-only coordinator: SIGKILL the coordinator mid-campaign, then

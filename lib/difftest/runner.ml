@@ -177,7 +177,7 @@ let diff ~compiler ~arch ~(path : Concolic.Path.t) kind =
 
 (* --- byte-code instruction testing --- *)
 
-let run_bytecode_path ~defects ~compiler ~arch (path : Concolic.Path.t)
+let run_bytecode_path ~front ~defects ~compiler ~arch (path : Concolic.Path.t)
     (op : [ `One of Bytecodes.Opcode.t | `Seq of Bytecodes.Opcode.t list ]) :
     outcome =
   match path.exit_ with
@@ -207,16 +207,19 @@ let run_bytecode_path ~defects ~compiler ~arch (path : Concolic.Path.t)
               (fun (v : Vm_objects.Value.t) -> (v :> int))
               (Interpreter.Frame.stack_bottom_up input.frame)
           in
-          let compiled =
-            match op with
-            | `One op ->
-                (fun () ->
-                  Jit.Cogits.compile_bytecode_to_machine compiler ~defects
-                    ~literals ~stack_setup ~arch op)
-            | `Seq ops ->
-                (fun () ->
-                  Jit.Cogits.compile_sequence_to_machine compiler ~defects
-                    ~literals ~stack_setup ~arch ops)
+          (* materialisation is deterministic: every ISA of this path
+             sees the same literals and stack set-up, so [front]
+             compiles them once *)
+          let compiled () =
+            Jit.Cogits.lower_for compiler ~arch
+              (Jit.Cogits.compile_once front (fun () ->
+                   match op with
+                   | `One op ->
+                       Jit.Cogits.compile_bytecode compiler ~defects ~literals
+                         ~stack_setup op
+                   | `Seq ops ->
+                       Jit.Cogits.compile_sequence compiler ~defects ~literals
+                         ~stack_setup ops))
           in
           match compiled () with
           | exception Jit.Cogits.Not_compiled msg ->
@@ -312,7 +315,7 @@ let run_bytecode_path ~defects ~compiler ~arch (path : Concolic.Path.t)
 
 (* --- native method testing --- *)
 
-let run_native_path ~defects ~compiler:_ ~arch (path : Concolic.Path.t)
+let run_native_path ~front ~defects ~arch (path : Concolic.Path.t)
     (prim_id : int) : outcome =
   let compiler = Jit.Cogits.Native_method_compiler in
   match path.exit_ with
@@ -328,7 +331,11 @@ let run_native_path ~defects ~compiler:_ ~arch (path : Concolic.Path.t)
           let stack = Interpreter.Frame.stack_bottom_up input.frame in
           if List.length stack <> arity + 1 then Expected_failure
           else
-            match Jit.Cogits.compile_native_to_machine ~defects ~arch prim_id with
+            match
+              Jit.Cogits.lower_for compiler ~arch
+                (Jit.Cogits.compile_once front (fun () ->
+                     Jit.Cogits.compile_native ~defects prim_id))
+            with
             | exception Jit.Cogits.Not_compiled msg ->
                 diff ~compiler ~arch ~path
                   (Difference.Exit_mismatch
@@ -400,15 +407,21 @@ let run_native_path ~defects ~compiler:_ ~arch (path : Concolic.Path.t)
                       (Difference.Exit_mismatch
                          { expected = path.exit_; observed }))))
 
-let run_path ~defects ~compiler ~arch (path : Concolic.Path.t) : outcome =
+(* One path on one ISA; [front] carries the path's IR from the ISAs
+   before (see {!run_path_arches}). *)
+let run_path_on ~front ~defects ~compiler ~arch (path : Concolic.Path.t) :
+    outcome =
   match (path.subject, compiler) with
   | Concolic.Path.Bytecode op, (Jit.Cogits.Simple_stack_cogit | Jit.Cogits.Stack_to_register_cogit | Jit.Cogits.Register_allocating_cogit) ->
-      run_bytecode_path ~defects ~compiler ~arch path (`One op)
+      run_bytecode_path ~front ~defects ~compiler ~arch path (`One op)
   | Concolic.Path.Bytecode_seq ops, (Jit.Cogits.Simple_stack_cogit | Jit.Cogits.Stack_to_register_cogit | Jit.Cogits.Register_allocating_cogit) ->
-      run_bytecode_path ~defects ~compiler ~arch path (`Seq ops)
+      run_bytecode_path ~front ~defects ~compiler ~arch path (`Seq ops)
   | Concolic.Path.Native id, Jit.Cogits.Native_method_compiler ->
-      run_native_path ~defects ~compiler ~arch path id
+      run_native_path ~front ~defects ~arch path id
   | _ -> invalid_arg "Runner.run_path: compiler/subject mismatch"
+
+let run_path ~defects ~compiler ~arch path =
+  run_path_on ~front:(Jit.Cogits.ir_slot ()) ~defects ~compiler ~arch path
 
 (* --- static pre-execution verification (the runner's pass 0) --- *)
 
@@ -448,93 +461,82 @@ type verified = {
       (* present when the caller opted into pass 5 *)
 }
 
-(* A static verdict depends only on (subject, compiler, arch, defects);
-   memoize it across the many paths of one instruction — concurrently,
-   since units of one instruction may run on several domains. *)
+(* Static verdicts, memoised as findings only: per (subject, compiler,
+   arch, defects, fault) for the per-ISA verdicts and per (subject,
+   compiler, arch set, defects, fault) for the cross-ISA differ, across
+   the many paths and units that consult them — concurrently, since
+   units of one subject may run on several domains.  The fault tag
+   keeps mutant verdicts out of the pristine entries (and distinct
+   mutants out of each other's). *)
 let static_cache : (string, Verify.Finding.t list) Exec.Memo.t =
   Exec.Memo.create ()
 
-let static_findings ~defects ~compiler ~arch
-    (subject : Concolic.Path.subject) : Verify.Finding.t list =
-  let mine = Jit.Cogits.short_name compiler in
-  let key =
-    (* the Fault tag keeps mutant verdicts out of the pristine entries
-       (and distinct mutants out of each other's) *)
-    Printf.sprintf "%s|%s|%s|%d%s"
-      (Concolic.Path.subject_name subject)
-      mine
-      (Jit.Codegen.arch_name arch)
-      (Hashtbl.hash defects) (Jit.Fault.cache_tag ())
-  in
-  Exec.Memo.find_or_add static_cache key @@ fun _ ->
-      let all =
-        match subject with
-        | Concolic.Path.Native id ->
-            Verify.verify_native_unit ~defects ~arches:[ arch ] id
-            @ Verify.differ_native ~defects id
-        | Concolic.Path.Bytecode op ->
-            Verify.verify_bytecode_unit ~defects ~compiler ~arches:[ arch ] op
-            @ Verify.differ_bytecode ~defects op
-        | Concolic.Path.Bytecode_seq ops ->
-            Verify.verify_sequence_unit ~defects ~compiler ~arches:[ arch ]
-              ops
-      in
-      (* the cross-compiler differ attributes findings per front-end;
-         keep only the ones about this test's compiler *)
-      let fs =
-        List.filter
-          (fun (f : Verify.Finding.t) ->
-            f.compiler = mine || f.compiler = "-")
-          all
-      in
-      fs
-
-(* The static cross-ISA differ over a whole arch set: lower the unit
-   once per ISA, summarise abstractly, and difference every ISA pair.
-   Per (subject, compiler, arch-set, defects, fault), like the per-arch
-   verdicts above — the campaign calls this once per unit and tallies
-   the findings per (front-end x ISA-pair). *)
 let cross_isa_cache : (string, Verify.Finding.t list) Exec.Memo.t =
   Exec.Memo.create ()
 
-let cross_isa_findings ~defects ~compiler ~arches
-    (subject : Concolic.Path.subject) : Verify.Finding.t list =
-  if List.length arches < 2 then []
-  else
-    let mine = Jit.Cogits.short_name compiler in
-    let key =
-      Printf.sprintf "%s|%s|%s|%d%s"
-        (Concolic.Path.subject_name subject)
-        mine
-        (String.concat "+" (List.map Jit.Codegen.arch_name arches))
-        (Hashtbl.hash defects) (Jit.Fault.cache_tag ())
-    in
-    Exec.Memo.find_or_add cross_isa_cache key @@ fun _ ->
-        let lower arch =
+let static_key ~defects ~mine subject arch_label =
+  Printf.sprintf "%s|%s|%s|%d%s"
+    (Concolic.Path.subject_name subject)
+    mine arch_label (Hashtbl.hash defects) (Jit.Fault.cache_tag ())
+
+(* Every entry a unit needs comes from one {!Verify.analyse_unit} over
+   all of [arches], run on the first missing entry and dropped when the
+   call returns. *)
+let static_verdicts ~defects ~compiler ~arches
+    (subject : Concolic.Path.subject) :
+    (Jit.Codegen.arch * Verify.Finding.t list) list * Verify.Finding.t list =
+  let mine = Jit.Cogits.short_name compiler in
+  let analysis = ref None in
+  let analysed () =
+    match !analysis with
+    | Some a -> a
+    | None ->
+        let differ =
           match subject with
-          | Concolic.Path.Native id ->
-              Jit.Cogits.compile_native_to_machine ~defects ~arch id
-          | Concolic.Path.Bytecode op ->
-              Jit.Cogits.compile_bytecode_to_machine compiler ~defects
-                ~literals:Verify.default_literals
-                ~stack_setup:(Verify.default_stack_setup op)
-                ~arch op
-          | Concolic.Path.Bytecode_seq ops ->
-              Jit.Cogits.compile_sequence_to_machine compiler ~defects
-                ~literals:Verify.default_literals ~stack_setup:[] ~arch ops
+          | Concolic.Path.Native id -> Verify.differ_native ~defects id
+          | Concolic.Path.Bytecode op -> Verify.differ_bytecode ~defects op
+          | Concolic.Path.Bytecode_seq _ -> []
         in
-        match
-          List.map
-            (fun arch ->
-              ( Jit.Codegen.arch_name arch,
-                Verify.Abstract_mc.summarize (lower arch) ))
-            arches
-        with
-        | exception Jit.Cogits.Not_compiled _ -> []
-        | summaries ->
-            Verify.Frame_diff.differ_arches
-              ~subject:(Concolic.Path.subject_name subject)
-              ~compiler:mine summaries
+        let a = (Verify.analyse_unit ~defects ~compiler ~arches subject, differ) in
+        analysis := Some a;
+        a
+  in
+  let per_arch =
+    List.map
+      (fun arch ->
+        let key = static_key ~defects ~mine subject (Jit.Codegen.arch_name arch) in
+        ( arch,
+          Exec.Memo.find_or_add static_cache key @@ fun _ ->
+          let (a : Verify.analysis), differ = analysed () in
+          (* the cross-compiler differ attributes findings per
+             front-end; keep only the ones about this test's compiler *)
+          List.filter
+            (fun (f : Verify.Finding.t) -> f.compiler = mine || f.compiler = "-")
+            (a.unit_findings
+            @ Option.value (List.assoc_opt arch a.per_arch) ~default:[]
+            @ differ) ))
+      arches
+  in
+  let cross =
+    if List.length arches < 2 then []
+    else
+      let key =
+        static_key ~defects ~mine subject
+          (String.concat "+" (List.map Jit.Codegen.arch_name arches))
+      in
+      Exec.Memo.find_or_add cross_isa_cache key @@ fun _ ->
+      (fst (analysed ())).Verify.cross_isa
+  in
+  (per_arch, cross)
+
+let static_findings ~defects ~compiler ~arch subject : Verify.Finding.t list =
+  match static_verdicts ~defects ~compiler ~arches:[ arch ] subject with
+  | [ (_, fs) ], _ -> fs
+  | _ -> assert false
+
+let cross_isa_findings ~defects ~compiler ~arches subject :
+    Verify.Finding.t list =
+  snd (static_verdicts ~defects ~compiler ~arches subject)
 
 (* Cross-check a static verdict against the dynamic outcome.  A match is
    by exact root cause, or failing that by defect family (the static
@@ -570,8 +572,8 @@ let agreement_of outcome findings =
    spurious warnings (the false-positive channel of any static layer),
    never as refutations. *)
 
-let validate_path ?budget ~defects ~compiler ~arch (path : Concolic.Path.t) :
-    validation =
+let validate_path ?ir_slot ?outcome ?budget ~defects ~compiler ~arch
+    (path : Concolic.Path.t) : validation =
   match path.exit_ with
   | EC.Invalid_frame -> V_skipped "invalid-frame path"
   | _ -> (
@@ -584,38 +586,67 @@ let validate_path ?budget ~defects ~compiler ~arch (path : Concolic.Path.t) :
       if skip_native then V_skipped "native calling-convention mismatch"
       else
         match
-          Verify.Translation_validator.validate_path ?query_budget:budget
-            ~defects ~compiler ~arch path
+          Verify.Translation_validator.validate_path ?ir_slot
+            ?query_budget:budget ~defects ~compiler ~arch path
         with
         | Verify.Translation_validator.Proved -> V_proved
         | Verify.Translation_validator.Unknown r -> V_unknown r
         | Verify.Translation_validator.Refuted w -> (
             (* replay the witness model concretely: substitute it for
                the path's own model and re-run the full dynamic
-               pipeline *)
-            let replayed =
-              { path with Concolic.Path.model = w.Verify.Translation_validator.model }
+               pipeline.  A witness that is the path's own model (the
+               not-compiled case) replays to the outcome the caller
+               already has. *)
+            let replay =
+              match outcome with
+              | Some o when w.Verify.Translation_validator.model == path.model
+                ->
+                  o
+              | _ ->
+                  run_path ~defects ~compiler ~arch
+                    { path with Concolic.Path.model = w.Verify.Translation_validator.model }
             in
-            match run_path ~defects ~compiler ~arch replayed with
+            match replay with
             | Diff difference -> V_refuted { witness = w; difference }
             | Pass | Expected_failure -> V_spurious w
             | Curated_out r ->
                 V_unknown ("witness not materialisable: " ^ r)))
 
-let run_path_verified ?(validate = false) ?budget ~defects ~compiler ~arch
+(* One path on every ISA of [static] (the unit's per-ISA static
+   verdicts): the path's IR, and the validator's sentinel-literal IR,
+   are compiled once and lowered per ISA.  Each entry carries the
+   validator queries its ISA posed on this domain. *)
+let run_path_arches ?(validate = false) ?budget ~defects ~compiler ~static
+    (path : Concolic.Path.t) : (Jit.Codegen.arch * verified * int) list =
+  let front = Jit.Cogits.ir_slot () and sentinel = Jit.Cogits.ir_slot () in
+  List.map
+    (fun (arch, static_findings) ->
+      let outcome = run_path_on ~front ~defects ~compiler ~arch path in
+      let validation, spent =
+        if not validate then (None, 0)
+        else
+          let v, spent =
+            Verify.Translation_validator.with_query_count (fun () ->
+                validate_path ~ir_slot:sentinel ~outcome ?budget ~defects
+                  ~compiler ~arch path)
+          in
+          (Some v, spent)
+      in
+      ( arch,
+        {
+          outcome;
+          static_findings;
+          agreement = agreement_of outcome static_findings;
+          validation;
+        },
+        spent ))
+    static
+
+let run_path_verified ?validate ?budget ~defects ~compiler ~arch
     (path : Concolic.Path.t) : verified =
-  let outcome = run_path ~defects ~compiler ~arch path in
-  let static_findings =
-    static_findings ~defects ~compiler ~arch path.Concolic.Path.subject
+  let static =
+    [ (arch, static_findings ~defects ~compiler ~arch path.Concolic.Path.subject) ]
   in
-  let validation =
-    if validate then
-      Some (validate_path ?budget ~defects ~compiler ~arch path)
-    else None
-  in
-  {
-    outcome;
-    static_findings;
-    agreement = agreement_of outcome static_findings;
-    validation;
-  }
+  match run_path_arches ?validate ?budget ~defects ~compiler ~static path with
+  | [ (_, v, _) ] -> v
+  | _ -> assert false

@@ -63,6 +63,8 @@ type validation =
 val validation_to_string : validation -> string
 
 val validate_path :
+  ?ir_slot:Jit.Cogits.ir_slot ->
+  ?outcome:outcome ->
   ?budget:int ref ->
   defects:Interpreter.Defects.t ->
   compiler:Jit.Cogits.compiler ->
@@ -70,7 +72,10 @@ val validate_path :
   Concolic.Path.t ->
   validation
 (** Validate one path and replay any refutation witness.  [budget]
-    caps solver queries (shared across calls via the ref). *)
+    caps solver queries (shared across calls via the ref).  [outcome],
+    this path's own {!run_path} outcome on [arch], stands in for the
+    replay of a witness that is the path's own model; [ir_slot] is
+    passed to {!Verify.Translation_validator.validate_path}. *)
 
 type verified = {
   outcome : outcome;
@@ -81,6 +86,17 @@ type verified = {
       (** present when [run_path_verified ~validate:true] was asked *)
 }
 
+val static_verdicts :
+  defects:Interpreter.Defects.t ->
+  compiler:Jit.Cogits.compiler ->
+  arches:Jit.Codegen.arch list ->
+  Concolic.Path.subject ->
+  (Jit.Codegen.arch * Verify.Finding.t list) list * Verify.Finding.t list
+(** One unit's static verdicts: {!static_findings} for every ISA of
+    [arches] (in that order) and {!cross_isa_findings} over [arches],
+    all from one {!Verify.analyse_unit}.  Memoized as findings, per
+    entry. *)
+
 val static_findings :
   defects:Interpreter.Defects.t ->
   compiler:Jit.Cogits.compiler ->
@@ -89,7 +105,8 @@ val static_findings :
   Verify.Finding.t list
 (** The static verdict for one compilation unit, restricted to findings
     about [compiler] (cross-compiler differ findings are attributed per
-    front-end). *)
+    front-end).  Memoized per (subject, compiler, arch, defect
+    configuration, fault). *)
 
 val cross_isa_findings :
   defects:Interpreter.Defects.t ->
@@ -98,8 +115,8 @@ val cross_isa_findings :
   Concolic.Path.subject ->
   Verify.Finding.t list
 (** Static cross-ISA frame differencing for one compilation unit: the
-    subject is lowered once per ISA in [arches] and the abstract frame
-    summaries are compared pairwise ([Verify.Frame_diff.differ_arches]).
+    abstract frame summaries of the unit's lowering for each ISA in
+    [arches] are compared pairwise ([Verify.Frame_diff.differ_arches]).
     Findings carry a pair label such as ["x86+rv32"] in their [arch]
     field.  Empty when fewer than two ISAs are given.  Memoized per
     (subject, compiler, arch set, defect configuration). *)
@@ -115,4 +132,18 @@ val run_path_verified :
 (** [run_path] plus the static verdict and the static-vs-dynamic
     agreement for this path.  [validate] (default [false]) additionally
     runs solver-backed translation validation; [budget] caps its solver
-    queries. *)
+    queries.  The one-ISA case of {!run_path_arches}. *)
+
+val run_path_arches :
+  ?validate:bool ->
+  ?budget:int ref ->
+  defects:Interpreter.Defects.t ->
+  compiler:Jit.Cogits.compiler ->
+  static:(Jit.Codegen.arch * Verify.Finding.t list) list ->
+  Concolic.Path.t ->
+  (Jit.Codegen.arch * verified * int) list
+(** {!run_path_verified} on every ISA of [static], the unit's per-ISA
+    static verdicts (the first half of {!static_verdicts}), in that
+    order.  The path's IR and the validator's sentinel-literal IR are
+    each compiled once and lowered per ISA.  The [int] is the number
+    of validator solver queries that ISA's validation posed. *)

@@ -85,11 +85,9 @@ let frontend_native_ir ~defects prim_id : Ir.ir list =
               (Interpreter.Primitive_table.name id)))
   | exception Ir.Unsupported_instruction msg -> raise (Not_compiled msg)
 
-(* Compile a byte-code instruction to IR under a compilation-unit schema
-   (setup pushes + instruction + markers, Listing 3). *)
-let compile_bytecode compiler ~defects ~literals ~stack_setup instr :
-    Ir.ir list =
-  let ir = frontend_ir compiler ~defects ~literals ~stack_setup instr in
+(* Register allocation for a byte-code front-end's IR, then the
+   final-IR fault hook. *)
+let allocate compiler (ir : Ir.ir list) : Ir.ir list =
   let final =
     match compiler with
     | Register_allocating_cogit -> (
@@ -98,6 +96,16 @@ let compile_bytecode compiler ~defects ~literals ~stack_setup instr :
     | _ -> fit_registers ir
   in
   Fault.apply_ir ~compiler:(short_name compiler) Fault.Final final
+
+(* Compile a byte-code instruction to IR under a compilation-unit schema
+   (setup pushes + instruction + markers, Listing 3). *)
+let compile_bytecode_stages compiler ~defects ~literals ~stack_setup instr =
+  let ir = frontend_ir compiler ~defects ~literals ~stack_setup instr in
+  (ir, allocate compiler ir)
+
+let compile_bytecode compiler ~defects ~literals ~stack_setup instr :
+    Ir.ir list =
+  snd (compile_bytecode_stages compiler ~defects ~literals ~stack_setup instr)
 
 (* Compile a byte-code sequence (future-work extension): one unit whose
    simulation stack spans instruction boundaries. *)
@@ -120,14 +128,7 @@ let compile_sequence ?lookahead compiler ~defects ~literals ~stack_setup
            ~literals ~stack_setup instrs)
     with Ir.Unsupported_instruction msg -> raise (Not_compiled msg)
   in
-  let final =
-    match compiler with
-    | Register_allocating_cogit -> (
-        try Linear_scan.rewrite ir
-        with Ir.Unsupported_instruction msg -> raise (Not_compiled msg))
-    | _ -> fit_registers ir
-  in
-  Fault.apply_ir ~compiler:short Fault.Final final
+  allocate compiler ir
 
 (* Lowering with the machine-code mutation hook.  [Codegen.lower] has no
    compiler parameter; the hook needs one to target a single front-end,
@@ -161,3 +162,24 @@ let compile_bytecode_to_machine compiler ~defects ~literals ~stack_setup
 
 let compile_native_to_machine ~defects ~arch prim_id =
   lower_for Native_method_compiler ~arch (compile_native ~defects prim_id)
+
+(* One compile's IR, or its [Not_compiled], kept for the ISAs after the
+   first: callers that lower one unit for several ISAs compile once. *)
+type ir_slot = (Ir.ir list, string) result option ref
+
+let ir_slot () : ir_slot = ref None
+
+let compile_once (slot : ir_slot) compile =
+  let r =
+    match !slot with
+    | Some r -> r
+    | None ->
+        let r =
+          match compile () with
+          | ir -> Ok ir
+          | exception Not_compiled msg -> Error msg
+        in
+        slot := Some r;
+        r
+  in
+  match r with Ok ir -> ir | Error msg -> raise (Not_compiled msg)

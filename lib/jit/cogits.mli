@@ -53,6 +53,16 @@ val compile_bytecode :
     instruction + stop markers, Listing 3).
     @raise Not_compiled when unsupported. *)
 
+val compile_bytecode_stages :
+  compiler ->
+  defects:Interpreter.Defects.t ->
+  literals:int array ->
+  stack_setup:int list ->
+  Bytecodes.Opcode.t ->
+  Ir.ir list * Ir.ir list
+(** [(frontend_ir …, compile_bytecode …)] from one front-end run.
+    @raise Not_compiled when unsupported. *)
+
 val compile_sequence :
   ?lookahead:bool ->
   compiler ->
@@ -100,3 +110,15 @@ val compile_native_to_machine :
   arch:Codegen.arch ->
   int ->
   Machine.Machine_code.program
+
+type ir_slot
+(** Holds one compile's IR, or its {!Not_compiled}, for the ISAs after
+    the first.  Create one per unit of work (a path, a unit) on the
+    domain that runs it; a slot is never shared across domains. *)
+
+val ir_slot : unit -> ir_slot
+
+val compile_once : ir_slot -> (unit -> Ir.ir list) -> Ir.ir list
+(** [compile_once slot compile] runs [compile] on the slot's first use
+    and replays its IR (or re-raises its {!Not_compiled}) on every later
+    one.  The caller passes the same [compile] to one slot each time. *)

@@ -380,8 +380,8 @@ let slot_indices_mc (p : MC.program) =
 
 (* --- the consistency checks --- *)
 
-let check_unit ~subject ~compiler ~arch ~(backend : B.t) ~(ir : Ir.ir list)
-    (p : MC.program) : Finding.t list =
+let check_unit ?fix ~subject ~compiler ~arch ~(backend : B.t)
+    ~(ir : Ir.ir list) (p : MC.program) : Finding.t list =
   let module BE = (val backend) in
   let findings = ref [] in
   let once = Hashtbl.create 8 in
@@ -394,7 +394,7 @@ let check_unit ~subject ~compiler ~arch ~(backend : B.t) ~(ir : Ir.ir list)
         :: !findings
     end
   in
-  let fx = fixpoint p in
+  let fx = match fix with Some fx -> fx | None -> fixpoint p in
   let quote i = Printf.sprintf "%d: %s" i (Machine.Disasm.instr p.(i)) in
   (* 1. conditional branches carry the condition codes the IR's guards
      demand, over the right flag setter *)

@@ -24,7 +24,7 @@
 
 module MC = Machine.Machine_code
 
-let lint ~accessor_gaps ~subject ~compiler ~arch (p : MC.program) :
+let lint ?reach ~accessor_gaps ~subject ~compiler ~arch (p : MC.program) :
     Finding.t list =
   let n = Array.length p in
   let findings = ref [] in
@@ -52,8 +52,9 @@ let lint ~accessor_gaps ~subject ~compiler ~arch (p : MC.program) :
       | _ -> ())
     p;
   (* reachability from entry, with the branch-resolution events in the
-     interpreter's discovery order *)
-  let r = Abstract_mc.reach p in
+     interpreter's discovery order; a caller that already ran the
+     fixpoint passes its [fx_reach] *)
+  let r = match reach with Some r -> r | None -> Abstract_mc.reach p in
   let reachable = r.Abstract_mc.reachable in
   List.iter
     (function

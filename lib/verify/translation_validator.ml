@@ -459,7 +459,7 @@ let frame_signature (frame : Symbolic.Abstract_frame.t) =
    lookup (and distinct mutants must never satisfy each other's). *)
 let mc_store_ns = "mc-paths:1"
 
-let machine_paths ?se_budget ~(defects : Interpreter.Defects.t)
+let machine_paths ?se_budget ~ir_slot ~(defects : Interpreter.Defects.t)
     ~(compiler : Jit.Cogits.compiler) ~(arch : Jit.Codegen.arch)
     (path : Concolic.Path.t) : compiled =
   let frame = path.input_frame in
@@ -498,7 +498,11 @@ let machine_paths ?se_budget ~(defects : Interpreter.Defects.t)
                     SE.W_oop e ))
                 stack
             in
-            match Jit.Cogits.compile_native_to_machine ~defects ~arch id with
+            match
+              Jit.Cogits.lower_for Jit.Cogits.Native_method_compiler ~arch
+                (Jit.Cogits.compile_once ir_slot (fun () ->
+                     Jit.Cogits.compile_native ~defects id))
+            with
             | exception Jit.Cogits.Not_compiled msg -> Missing msg
             | program ->
                 run program
@@ -521,15 +525,19 @@ let machine_paths ?se_budget ~(defects : Interpreter.Defects.t)
                 (fun t -> SE.W_oop t)
                 (Symbolic.Abstract_frame.temps frame)
             in
+            (* the sentinel-literal IR depends on the path's stack
+               depth, not on the ISA: one compile per path *)
             let compile () =
-              match path.subject with
-              | Concolic.Path.Bytecode op ->
-                  Jit.Cogits.compile_bytecode_to_machine compiler ~defects
-                    ~literals:template_literals ~stack_setup ~arch op
-              | Concolic.Path.Bytecode_seq ops ->
-                  Jit.Cogits.compile_sequence_to_machine compiler ~defects
-                    ~literals:template_literals ~stack_setup ~arch ops
-              | Concolic.Path.Native _ -> assert false
+              Jit.Cogits.lower_for compiler ~arch
+                (Jit.Cogits.compile_once ir_slot (fun () ->
+                     match path.subject with
+                     | Concolic.Path.Bytecode op ->
+                         Jit.Cogits.compile_bytecode compiler ~defects
+                           ~literals:template_literals ~stack_setup op
+                     | Concolic.Path.Bytecode_seq ops ->
+                         Jit.Cogits.compile_sequence compiler ~defects
+                           ~literals:template_literals ~stack_setup ops
+                     | Concolic.Path.Native _ -> assert false))
             in
             match compile () with
             | exception Jit.Cogits.Not_compiled msg -> Missing msg
@@ -626,7 +634,7 @@ let classify_pair ~(path : Concolic.Path.t) ~(p_conds : Sym.t list)
 
 (* --- the per-path validation verdict --- *)
 
-let validate_path_uncached ?se_budget ?query_budget
+let validate_path_uncached ?se_budget ?query_budget ~ir_slot
     ~(defects : Interpreter.Defects.t) ~(compiler : Jit.Cogits.compiler)
     ~(arch : Jit.Codegen.arch) (path : Concolic.Path.t) : verdict =
   match path.exit_ with
@@ -642,7 +650,9 @@ let validate_path_uncached ?se_budget ?query_budget
       if skip_native then
         Unknown "input stack does not match the native calling convention"
       else
-        match machine_paths ?se_budget ~defects ~compiler ~arch path with
+        match
+          machine_paths ?se_budget ~ir_slot ~defects ~compiler ~arch path
+        with
         | Missing msg ->
             (* no machine code at all: every validated path of this unit
                is refuted by the unit's own witness model *)
@@ -703,13 +713,16 @@ let validate_path_uncached ?se_budget ?query_budget
    refuted verdict must never satisfy a pristine lookup). *)
 let verdict_store_ns = "validate-verdict:1"
 
-let validate_path ?se_budget ?query_budget ~(defects : Interpreter.Defects.t)
-    ~(compiler : Jit.Cogits.compiler) ~(arch : Jit.Codegen.arch)
-    (path : Concolic.Path.t) : verdict =
+let validate_path ?se_budget ?query_budget ?(ir_slot = Jit.Cogits.ir_slot ())
+    ~(defects : Interpreter.Defects.t) ~(compiler : Jit.Cogits.compiler)
+    ~(arch : Jit.Codegen.arch) (path : Concolic.Path.t) : verdict =
+  (* the key prints the whole path condition: build it only for a store *)
   match query_budget with
   | Some _ ->
-      validate_path_uncached ?se_budget ?query_budget ~defects ~compiler ~arch
-        path
+      validate_path_uncached ?se_budget ?query_budget ~ir_slot ~defects
+        ~compiler ~arch path
+  | None when not (Exec.Store.enabled ()) ->
+      validate_path_uncached ?se_budget ~ir_slot ~defects ~compiler ~arch path
   | None -> (
       let key =
         Printf.sprintf "%s|%s|%s|%d|%s|d%d%s|%s%s"
@@ -730,7 +743,8 @@ let validate_path ?se_budget ?query_budget ~(defects : Interpreter.Defects.t)
       | Some v -> v
       | None ->
           let v =
-            validate_path_uncached ?se_budget ~defects ~compiler ~arch path
+            validate_path_uncached ?se_budget ~ir_slot ~defects ~compiler ~arch
+              path
           in
           Exec.Store.record ~ns:verdict_store_ns ~key v;
           v)

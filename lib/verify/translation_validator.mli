@@ -43,6 +43,7 @@ val with_query_count : (unit -> 'a) -> 'a * int
 val validate_path :
   ?se_budget:Symexec_mc.budget ->
   ?query_budget:int ref ->
+  ?ir_slot:Jit.Cogits.ir_slot ->
   defects:Interpreter.Defects.t ->
   compiler:Jit.Cogits.compiler ->
   arch:Jit.Codegen.arch ->
@@ -51,7 +52,10 @@ val validate_path :
 (** Validate one interpreter path against one compiler on one ISA.
     [query_budget] is decremented per solver query; exhausted budgets
     answer [Unknown].  Machine-path enumeration is memoized per
-    (subject, compiler, arch, defects, frame shape).  Invalid-frame
+    (subject, compiler, arch, defects, frame shape).  [ir_slot] (fresh
+    by default) carries one path's sentinel-literal IR across its ISAs,
+    so a caller validating the path on several ISAs compiles it once.
+    Invalid-frame
     paths and native paths whose stack does not match the calling
     convention answer [Unknown] (callers treat these as skipped). *)
 

@@ -61,126 +61,162 @@ let not_compiled_finding ~subject ~compiler cause msg =
       (Printf.sprintf "%s: %s" (Jit.Cogits.short_name compiler) msg);
   ]
 
-(* Passes 3-4 on the lowered machine code of one unit: the lint and the
-   abstract interpreter's IR-vs-machine consistency checks per arch,
-   plus the static cross-ISA frame differ when several arches are
-   lowered. *)
-let machine_passes ~defects ~subject ~short ~arches ~lower final =
+(* --- one unit's static analysis, shared by every consumer ---
+
+   Passes 1-4 for one compilation unit, each artefact computed once.
+   Passes 1-2 read the byte-code and the IR, which no ISA changes: one
+   byte-code verifier run, one compile and one IR verifier run per
+   (subject, compiler).  Per ISA the unit is lowered once and its
+   fixpoint computed once; the lint reads the fixpoint's reachability
+   and [check_unit] its abstract states.  The cross-ISA differ reads
+   one [summarize] per ISA.  The lowered programs and fixpoints live
+   only while the unit is analysed: callers keep findings only.
+
+   [verify_bytecode_unit]/[verify_native_unit] (and so [verify_all])
+   and the differential runner's static verdicts all read this one
+   analysis. *)
+
+type analysis = {
+  unit_findings : Finding.t list;
+      (* passes 1-2, or the unit's not-compiled finding *)
+  per_arch : (Jit.Codegen.arch * Finding.t list) list;
+      (* passes 3-4, one entry per ISA in [arches] order; [] when the
+         unit does not compile *)
+  cross_isa : Finding.t list;
+      (* the cross-ISA frame differ over every ISA of [per_arch]; []
+         below two ISAs *)
+}
+
+let analysis_findings a =
+  a.unit_findings @ List.concat_map snd a.per_arch @ a.cross_isa
+
+(* Passes 3-4 on the lowered machine code of one unit: per arch the
+   lint and the abstract interpreter's IR-vs-machine consistency
+   checks over one shared fixpoint, plus the static cross-ISA frame
+   differ when several arches are lowered. *)
+let machine_passes ~defects ~subject ~cross_subject ~short ~arches ~lower final
+    =
   let accessor_gaps = defects.Interpreter.Defects.simulation_accessor_gaps in
-  let progs = List.map (fun arch -> (arch, lower arch)) arches in
-  let per_arch =
-    List.concat_map
-      (fun (arch, prog) ->
-        Machine_lint.lint ~accessor_gaps ~subject ~compiler:short
-          ~arch:(arch_name arch) prog
-        @ Abstract_mc.check_unit ~subject ~compiler:short
-            ~arch:(arch_name arch)
-            ~backend:(Jit.Codegen.backend_of arch)
-            ~ir:final prog)
-      progs
+  let analysed =
+    List.map
+      (fun arch ->
+        let prog = lower arch in
+        let fix = Abstract_mc.fixpoint prog in
+        let an = arch_name arch in
+        ( arch,
+          prog,
+          Machine_lint.lint ~reach:fix.Abstract_mc.fx_reach ~accessor_gaps
+            ~subject ~compiler:short ~arch:an prog
+          @ Abstract_mc.check_unit ~fix ~subject ~compiler:short ~arch:an
+              ~backend:(Jit.Codegen.backend_of arch)
+              ~ir:final prog ))
+      arches
   in
-  let cross =
-    if List.length progs < 2 then []
+  let cross_isa =
+    if List.length analysed < 2 then []
     else
-      Frame_diff.differ_arches ~subject ~compiler:short
+      Frame_diff.differ_arches ~subject:cross_subject ~compiler:short
         (List.map
-           (fun (arch, prog) -> (arch_name arch, Abstract_mc.summarize prog))
-           progs)
+           (fun (arch, prog, _) -> (arch_name arch, Abstract_mc.summarize prog))
+           analysed)
   in
-  per_arch @ cross
+  (List.map (fun (arch, _, fs) -> (arch, fs)) analysed, cross_isa)
 
-(* Passes 1-3 for one byte-code compilation unit. *)
-let verify_bytecode_unit ~defects ~compiler
-    ?(arches = Jit.Codegen.all_arches) ?(literals = default_literals)
-    ?stack_setup (op : Op.t) : Finding.t list =
-  let subject = Op.mnemonic op in
-  let stack_setup =
-    match stack_setup with Some s -> s | None -> default_stack_setup op
+(* Passes 1-4 for one unit, with canonical unit parameters (a sequence
+   starts on an empty stack).  Cross-ISA findings name the unit as the
+   campaign does ({!Concolic.Path.subject_name}); the other passes name
+   a sequence by its ";"-joined mnemonics. *)
+let analyse_unit ~defects ~compiler ?(arches = Jit.Codegen.all_arches)
+    (unit_subject : Concolic.Path.subject) : analysis =
+  let literals = default_literals in
+  let num_literals = Array.length literals in
+  let not_compiled unit_findings =
+    { unit_findings; per_arch = []; cross_isa = [] }
   in
-  let bytecode_findings =
-    Bytecode_verifier.verify_unit ~num_literals:(Array.length literals)
-      ~initial_depth:(List.length stack_setup) op
+  let analyse ~subject ~compiler unit_findings final =
+    let per_arch, cross_isa =
+      machine_passes ~defects ~subject
+        ~cross_subject:(Concolic.Path.subject_name unit_subject)
+        ~short:(Jit.Cogits.short_name compiler) ~arches
+        ~lower:(fun arch -> Jit.Cogits.lower_for compiler ~arch final)
+        final
+    in
+    { unit_findings; per_arch; cross_isa }
   in
-  match
-    ( Jit.Cogits.frontend_ir compiler ~defects ~literals ~stack_setup op,
-      Jit.Cogits.compile_bytecode compiler ~defects ~literals ~stack_setup op
-    )
-  with
-  | exception Jit.Cogits.Not_compiled msg ->
-      bytecode_findings
-      @ not_compiled_finding ~subject ~compiler
-          (Printf.sprintf "missing-bytecode-support-%s(%s)" subject msg)
-          msg
-  | frontend, final ->
-      let short = Jit.Cogits.short_name compiler in
-      let ir_findings =
-        Ir_verifier.single_assignment ~subject ~compiler:short frontend
-        @ Ir_verifier.verify ~subject ~compiler:short
-            ~reg_limit:(reg_limit_for compiler final)
-            final
+  let short = Jit.Cogits.short_name compiler in
+  let ir_verify ~subject final =
+    Ir_verifier.verify ~subject ~compiler:short
+      ~reg_limit:(reg_limit_for compiler final)
+      final
+  in
+  let missing ~subject msg =
+    not_compiled_finding ~subject ~compiler
+      (Printf.sprintf "missing-bytecode-support-%s(%s)" subject msg)
+      msg
+  in
+  match unit_subject with
+  | Concolic.Path.Bytecode op -> (
+      let subject = Op.mnemonic op in
+      let stack_setup = default_stack_setup op in
+      let bytecode_findings =
+        Bytecode_verifier.verify_unit ~num_literals
+          ~initial_depth:(List.length stack_setup) op
       in
-      let machine_findings =
-        machine_passes ~defects ~subject ~short ~arches
-          ~lower:(fun arch -> Jit.Cogits.lower_for compiler ~arch final)
-          final
+      match
+        Jit.Cogits.compile_bytecode_stages compiler ~defects ~literals
+          ~stack_setup op
+      with
+      | exception Jit.Cogits.Not_compiled msg ->
+          not_compiled (bytecode_findings @ missing ~subject msg)
+      | frontend, final ->
+          analyse ~subject ~compiler
+            (bytecode_findings
+            @ Ir_verifier.single_assignment ~subject ~compiler:short frontend
+            @ ir_verify ~subject final)
+            final)
+  | Concolic.Path.Bytecode_seq ops -> (
+      let subject = String.concat ";" (List.map Op.mnemonic ops) in
+      let bytecode_findings =
+        Bytecode_verifier.verify_seq ~num_literals ~initial_depth:0 ops
       in
-      bytecode_findings @ ir_findings @ machine_findings
+      match
+        Jit.Cogits.compile_sequence compiler ~defects ~literals ~stack_setup:[]
+          ops
+      with
+      | exception Jit.Cogits.Not_compiled msg ->
+          not_compiled (bytecode_findings @ missing ~subject msg)
+      | final ->
+          analyse ~subject ~compiler
+            (bytecode_findings @ ir_verify ~subject final)
+            final)
+  | Concolic.Path.Native id -> (
+      let subject = Interpreter.Primitive_table.name id in
+      match Jit.Cogits.compile_native ~defects id with
+      | exception Jit.Cogits.Not_compiled msg ->
+          not_compiled
+            [
+              Finding.v ~pass:Finding.Ir_check ~subject ~compiler:"native"
+                ~family:Finding.Missing_functionality
+                ~cause:(Printf.sprintf "missing-template-%s" subject)
+                msg;
+            ]
+      | final ->
+          analyse ~subject ~compiler:Jit.Cogits.Native_method_compiler
+            (Ir_verifier.verify ~subject ~compiler:"native"
+               ~reg_limit:Ir.max_direct_vreg final)
+            final)
 
-(* Passes 1-4 for a byte-code sequence unit. *)
-let verify_sequence_unit ~defects ~compiler
-    ?(arches = Jit.Codegen.all_arches) ?(literals = default_literals)
-    ?(stack_setup = []) (ops : Op.t list) : Finding.t list =
-  let subject = String.concat ";" (List.map Op.mnemonic ops) in
-  let bytecode_findings =
-    Bytecode_verifier.verify_seq ~num_literals:(Array.length literals)
-      ~initial_depth:(List.length stack_setup) ops
-  in
-  match
-    Jit.Cogits.compile_sequence compiler ~defects ~literals ~stack_setup ops
-  with
-  | exception Jit.Cogits.Not_compiled msg ->
-      bytecode_findings
-      @ not_compiled_finding ~subject ~compiler
-          (Printf.sprintf "missing-bytecode-support-%s(%s)" subject msg)
-          msg
-  | final ->
-      let short = Jit.Cogits.short_name compiler in
-      let ir_findings =
-        Ir_verifier.verify ~subject ~compiler:short
-          ~reg_limit:(reg_limit_for compiler final)
-          final
-      in
-      let machine_findings =
-        machine_passes ~defects ~subject ~short ~arches
-          ~lower:(fun arch -> Jit.Cogits.lower_for compiler ~arch final)
-          final
-      in
-      bytecode_findings @ ir_findings @ machine_findings
+(* Passes 1-4 for one byte-code compilation unit. *)
+let verify_bytecode_unit ~defects ~compiler ?arches (op : Op.t) :
+    Finding.t list =
+  analysis_findings
+    (analyse_unit ~defects ~compiler ?arches (Concolic.Path.Bytecode op))
 
 (* Passes 2-4 for one native-method unit. *)
-let verify_native_unit ~defects ?(arches = Jit.Codegen.all_arches) (id : int)
-    : Finding.t list =
-  let subject = Interpreter.Primitive_table.name id in
-  match Jit.Cogits.compile_native ~defects id with
-  | exception Jit.Cogits.Not_compiled msg ->
-      [
-        Finding.v ~pass:Finding.Ir_check ~subject ~compiler:"native"
-          ~family:Finding.Missing_functionality
-          ~cause:(Printf.sprintf "missing-template-%s" subject)
-          msg;
-      ]
-  | final ->
-      let ir_findings =
-        Ir_verifier.verify ~subject ~compiler:"native"
-          ~reg_limit:Ir.max_direct_vreg final
-      in
-      let machine_findings =
-        machine_passes ~defects ~subject ~short:"native" ~arches
-          ~lower:(fun arch ->
-            Jit.Cogits.lower_for Jit.Cogits.Native_method_compiler ~arch final)
-          final
-      in
-      ir_findings @ machine_findings
+let verify_native_unit ~defects ?arches (id : int) : Finding.t list =
+  analysis_findings
+    (analyse_unit ~defects ~compiler:Jit.Cogits.Native_method_compiler
+       ?arches (Concolic.Path.Native id))
 
 (* Pass 5, with canonical unit parameters. *)
 let differ_bytecode ~defects ?(literals = default_literals) ?stack_setup
@@ -253,7 +289,7 @@ let causes (r : report) : (Finding.family * string * int) list =
 (* --- machine-layer sweep of the abstract interpreter alone ---
 
    What [vmtest verify --abstract] and [bench verify] run: per unit and
-   per arch, the lint (itself a client of the fixpoint's reachability),
+   per arch, the lint (reading the fixpoint's reachability),
    the fixpoint-based consistency checks, the abstract frame-effect
    summary, the symbolic cross-check, and the cross-ISA differ — no
    byte-code/IR passes, so the counters isolate the machine layer. *)
@@ -321,10 +357,11 @@ let abstract_all ?(defects = Interpreter.Defects.paper)
       List.concat_map
         (fun (arch, prog, s) ->
           let an = arch_name arch in
+          let fix = Abstract_mc.fixpoint prog in
           let checks =
-            Machine_lint.lint ~accessor_gaps ~subject ~compiler:short ~arch:an
-              prog
-            @ Abstract_mc.check_unit ~subject ~compiler:short ~arch:an
+            Machine_lint.lint ~reach:fix.Abstract_mc.fx_reach ~accessor_gaps
+              ~subject ~compiler:short ~arch:an prog
+            @ Abstract_mc.check_unit ~fix ~subject ~compiler:short ~arch:an
                 ~backend:(Jit.Codegen.backend_of arch) ~ir:final prog
           in
           let cross =

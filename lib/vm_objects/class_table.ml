@@ -55,15 +55,19 @@ let well_known =
     (class_class_id, "Class", Fixed_pointers 2);
   ]
 
-let create () =
-  let t = { classes = Array.make 64 None; next_id = first_user_id } in
-  List.iter
+(* Descriptions are immutable, so every table shares one set of the
+   well-known ones: a fresh table costs one array. *)
+let well_known_descs =
+  List.map
     (fun (id, name, format) ->
       (* every well-known class except Object itself inherits from Object *)
       let superclass = if id = object_id then None else Some object_id in
-      t.classes.(id) <-
-        Some (Class_desc.make ?superclass ~class_id:id ~name ~format ()))
-    well_known;
+      (id, Some (Class_desc.make ?superclass ~class_id:id ~name ~format ())))
+    well_known
+
+let create () =
+  let t = { classes = Array.make 64 None; next_id = first_user_id } in
+  List.iter (fun (id, desc) -> t.classes.(id) <- desc) well_known_descs;
   t
 
 let grow t wanted =

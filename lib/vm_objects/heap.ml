@@ -43,8 +43,15 @@ let index_of_oop oop =
     raise (Invalid_access { oop; index = -1 })
   else (a / 8) - 1
 
+(* The store starts below OCaml's minor-heap size limit (256 words):
+   a larger block is allocated straight into the major heap, and the
+   test pipeline creates one fresh memory per path, ISA and witness
+   replay.  [grow] doubles on demand, and an oop depends only on its
+   index, never on the capacity. *)
+let initial_capacity = 64
+
 let create class_table =
-  { store = Array.make 1024 None; next = 0; class_table }
+  { store = Array.make initial_capacity None; next = 0; class_table }
 
 let class_table t = t.class_table
 

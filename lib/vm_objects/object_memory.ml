@@ -27,13 +27,11 @@ let create () =
   let heap = Heap.create class_table in
   let specials = Special_objects.install heap in
   let t = { class_table; heap; specials; class_objects = Hashtbl.create 64 } in
-  (* Pre-allocate class objects for the well-known classes, in id order,
-     so oops stay deterministic across runs. *)
-  let ids = ref [] in
-  Class_table.iter class_table (fun d -> ids := Class_desc.class_id d :: !ids);
-  List.iter
-    (fun id -> ignore (allocate_class_object t id))
-    (List.sort Int.compare !ids);
+  (* Pre-allocate class objects for the well-known classes, in id order
+     (the table's iteration order), so oops stay deterministic across
+     runs. *)
+  Class_table.iter class_table (fun d ->
+      ignore (allocate_class_object t (Class_desc.class_id d)));
   t
 
 (* --- Scratch-memory protocol: mark / reset --- *)

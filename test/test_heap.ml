@@ -174,8 +174,57 @@ let qcheck_array_roundtrip =
         (List.init (List.length values) Fun.id)
         values)
 
+(* The test pipeline creates a fresh object memory per path, ISA and
+   witness replay, so creating one must allocate nothing straight into
+   the major heap.  The OCaml allocator puts a block there directly
+   only when it is larger than [Max_young_wosize] (256 words), so over
+   1000 creates the direct major words, [major_words - promoted_words]
+   with [Gc.minor] settling the promotion counters at each snapshot,
+   must stay below one such block: the counters' own bookkeeping reads
+   a few words either way. *)
+let test_create_allocates_minor () =
+  ignore (Object_memory.create ());
+  Gc.full_major ();
+  let direct () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = direct () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Object_memory.create ()))
+  done;
+  let words = direct () -. before in
+  check_bool
+    (Printf.sprintf "direct major-heap words over 1000 creates (%.0f) < 257"
+       words)
+    true (words < 257.0)
+
+(* Growing past the initial store keeps every oop at [8 * (index + 1)]
+   and every slot's contents. *)
+let test_growth_keeps_oops () =
+  let heap = Heap.create (Class_table.create ()) in
+  let oops =
+    Array.init 300 (fun i ->
+        let oop =
+          Heap.allocate heap ~class_id:Class_table.array_id ~indexable_size:1
+        in
+        Heap.store_pointer heap oop 0 (Value.of_small_int i);
+        oop)
+  in
+  Array.iteri
+    (fun i oop ->
+      check_int "oop" (8 * (i + 1)) (oop : Value.t :> int);
+      check_int "slot" i (Value.small_int_value (Heap.fetch_pointer heap oop 0)))
+    oops;
+  check_int "object count" 300 (Heap.object_count heap)
+
 let suite =
   [
+    Alcotest.test_case "create allocates in the minor heap" `Quick
+      test_create_allocates_minor;
+    Alcotest.test_case "growth keeps oops and slots" `Quick
+      test_growth_keeps_oops;
     Alcotest.test_case "special objects deterministic" `Quick test_specials_deterministic;
     Alcotest.test_case "array alloc and access" `Quick test_array_alloc_and_access;
     Alcotest.test_case "pointer bounds checked" `Quick test_bounds_checked;

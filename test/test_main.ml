@@ -44,4 +44,5 @@ let () =
       ("mutate", Test_mutate.suite);
       ("abstract", Test_abstract.suite);
       ("templates", Test_templates.suite);
+      ("shared", Test_shared_static.suite);
     ]
