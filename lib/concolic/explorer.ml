@@ -298,10 +298,14 @@ let explore_uncached ?(max_iterations = 128)
    validator share one exploration per subject instead of re-running it
    per consumer.  Results are immutable once built and safe to share
    across domains; the memo's in-flight dedup means concurrent consumers
-   block on, rather than duplicate, a running exploration. *)
-let cache :
-    (Path.subject * Interpreter.Defects.t * int * bool, result) Exec.Memo.t =
-  Exec.Memo.create ()
+   block on, rather than duplicate, a running exploration.
+
+   Keyed by the persistent layer's string key: [Hashtbl.hash] reads at
+   most ten meaningful words, which a (subject, defects, ...) tuple
+   spends on the tuple and the defect flags before a byte-code
+   sequence's opcodes, so all sequences would share one hash.  A string
+   hashes whole. *)
+let cache : (string, result) Exec.Memo.t = Exec.Memo.create ()
 
 (* The persistent layer.  Exploration runs the interpreter shadow, never
    compiled code, so summaries depend on (subject, defect configuration,
@@ -322,9 +326,8 @@ let explore ?(max_iterations = 128) ?(defects = Interpreter.Defects.default)
      injected hang, and a faulted attempt never poisons the cache. *)
   Exec.Chaos.hook_explorer ();
   Exec.Memo.find_or_add cache
-    (subject, defects, max_iterations, lookahead)
-    (fun _ ->
-      let key = store_key subject defects max_iterations lookahead in
+    (store_key subject defects max_iterations lookahead)
+    (fun key ->
       match Exec.Store.lookup ~ns:store_ns ~key with
       | Some r -> r
       | None ->

@@ -29,10 +29,18 @@ val explore :
     look-aheads of §4.3, implemented here; off by default to match the
     paper's prototype).
 
-    Memoized per (subject, defects, max_iterations, lookahead): the
-    first consumer pays for the exploration, later consumers — the
-    other byte-code compilers, the translation validator — share the
-    immutable result.  Safe across domains (in-flight dedup). *)
+    Memoized per (subject, defects, max_iterations, lookahead), under
+    {!store_key}: the first consumer pays for the exploration, later
+    consumers — the other byte-code compilers, the translation
+    validator — share the immutable result.  Safe across domains
+    (in-flight dedup). *)
+
+val store_key :
+  Path.subject -> Interpreter.Defects.t -> int -> bool -> string
+(** [store_key subject defects max_iterations lookahead]: the key of an
+    exploration in the memo and in the persistent store.  Distinct
+    subjects get distinct keys as long as {!Path.subject_name} is
+    injective (checked in [test_concolic]). *)
 
 val explore_uncached :
   ?max_iterations:int ->

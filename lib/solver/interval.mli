@@ -32,6 +32,34 @@ val mask : int -> t -> t
     the interval already lies within [0, m], else the full [0, m]
     range. *)
 
+(** {2 Division-family bounds}
+
+    Each contains every value {!Eval} computes for the operator on
+    operands inside the two intervals, as long as every bound lies
+    within [±2^61] (the caller's guard: no intermediate value wraps).
+    [None] when the divisor interval is exactly [0], where the
+    evaluator fails. *)
+
+val floor_div : t -> t -> t option
+(** Smalltalk [//]: the box's corners over each sign part of the
+    divisor, 0 excluded — [min_small // -1] stays inside. *)
+
+val floor_mod : t -> t -> t option
+(** Smalltalk [\\]: [[0, hi - 1]] for a positive divisor,
+    [[lo + 1, 0]] for a negative one, and no wider than a dividend of
+    the divisor's sign. *)
+
+val rem : t -> t -> t option
+(** Truncated remainder: [|r| < max |b|] and [|r| <= |a|], with the
+    sign of [a]. *)
+
+val quo : t -> t -> t option
+(** Truncated quotient: [|q| <= |a|]. *)
+
+val float_exponent : t
+(** Every value {!Eval} gives [Float_exponent] of any float, NaN and
+    the infinities included: [[-1074, 1023]]. *)
+
 val tighten_cmp : Symbolic.Sym_expr.cmp -> t -> t -> t option
 (** Tighten the left interval so that [a ⋈ b] can hold for some value of
     [b]; [None] when no value remains. *)

@@ -20,20 +20,28 @@
       [±x + k ⋈ 0] or [x - y + k ⋈ 0] plus every atom's propagated
       interval become the edges of a difference graph; a negative cycle
       proves no assignment inside the intervals satisfies them;
+   3d. a range refutation: both sides of each comparison are bounded
+      over the propagated intervals with 3b's rules plus bounds for
+      [//], [\\], [quo], [rem] and float exponents; a comparison whose
+      bounds cannot meet holds nowhere in the box (the small-integer
+      range escapes of [\\], [rem] and [exponent]);
    4. a witness search over the remaining integer/float atoms: biased
       candidates, bounded random sampling, and a linear repair loop.
 
-   Step 3c answers exactly what step 4 would.  Every assignment the
-   search tries lies inside the propagated intervals (the walk filters
-   its candidates with [Interval.contains], sampling draws from the
-   interval, repair clamps to it), and inside those bounds the
-   evaluator computes each difference literal exactly.  So a negative
-   cycle means the search can only run its sampling loop to the end and
-   give up with [C_unknown "no witness found"].  The shortcut returns
-   that same verdict (not [C_unsat]) and charges the fuel the exhausted
-   loop charges, [sample_tries * sample_cost]: verdicts, memo keys,
-   store entries and fuel-limited timeouts are the same with or without
-   it — only the time to reach them differs. *)
+   Steps 3c and 3d answer exactly what step 4 would.  Every assignment
+   the search tries lies inside the propagated intervals (the walk
+   filters its candidates with [Interval.contains], sampling draws from
+   the interval, repair clamps to it; float atoms are unconstrained,
+   and 3d bounds float exponents over every float), and inside those
+   bounds the evaluator computes each refuted literal exactly.  So a
+   negative cycle, or a literal whose bounds cannot meet, means the
+   search can only run its sampling loop to the end and give up with
+   [C_unknown "no witness found"].  The shortcut returns that same
+   verdict (not [C_unsat]) and charges the fuel the exhausted loop
+   charges, [sample_tries * sample_cost]: verdicts, memo keys, store
+   entries and fuel-limited timeouts are the same with or without it —
+   only the time to reach them differs.  3b must not learn 3d's rules:
+   its [C_unsat] would turn today's [Unknown] verdicts into [Unsat]. *)
 
 open Symbolic
 
@@ -598,18 +606,67 @@ let difference_refutes ~(bounds : Sym_expr.t -> Interval.t option)
      end
 
 (* ------------------------------------------------------------------ *)
+(* Range refutation (step 3d)                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Step 3b's interval evaluation, plus bounds for the division family
+   and float exponents, over the same box the search stays inside.
+   Every intermediate bound lies within [±2^61], so no value the
+   evaluator computes on the way wraps: an intermediate that might
+   leave that range makes its side unbounded. *)
+let max_range = 1 lsl 61
+
+let range_refutes ~(bounds : Sym_expr.t -> Interval.t option)
+    (cmps : (Sym_expr.cmp * Sym_expr.t * Sym_expr.t) list) : bool =
+  let guard (iv : Interval.t) =
+    if iv.lo > -max_range && iv.hi < max_range then Some iv else None
+  in
+  let rec range (e : Sym_expr.t) : Interval.t option =
+    if is_int_atom e then Option.bind (bounds e) guard
+    else
+      let both f a b =
+        match (range a, range b) with
+        | Some ia, Some ib -> Option.bind (f ia ib) guard
+        | _ -> None
+      in
+      match e with
+      | Int_const c -> guard (Interval.exactly c)
+      | Add (a, b) -> both (fun x y -> Some (Interval.add x y)) a b
+      | Sub (a, b) -> both (fun x y -> Some (Interval.sub x y)) a b
+      | Neg a -> Option.map Interval.neg (range a)
+      | Mul (a, Int_const k) | Mul (Int_const k, a) ->
+          Option.bind (range a) (fun x ->
+              if k = 0 || max (abs x.lo) (abs x.hi) < max_range / abs k then
+                Some (Interval.scale k x)
+              else None)
+      | Div (a, b) -> both Interval.floor_div a b
+      | Mod (a, b) -> both Interval.floor_mod a b
+      | Quo (a, b) -> both Interval.quo a b
+      | Rem (a, b) -> both Interval.rem a b
+      | Float_exponent _ -> Some Interval.float_exponent
+      | _ -> None
+  in
+  List.exists
+    (fun (c, a, b) ->
+      match (range a, range b) with
+      | Some ia, Some ib -> Interval.tighten_cmp c ia ib = None
+      | _ -> false)
+    cmps
+
+(* ------------------------------------------------------------------ *)
 (* The conjunction solver                                              *)
 (* ------------------------------------------------------------------ *)
 
 type conj_result = C_sat of Model.t | C_unsat | C_unknown of string
 
 (* The sampling loop of step 4 draws [sample_tries] assignments and
-   charges [sample_cost] fuel for each; step 3c charges the product. *)
+   charges [sample_cost] fuel for each; steps 3c and 3d charge the
+   product. *)
 let sample_tries = 4000
 let sample_cost = 4
 
-(* Searches that ran to exhaustion, and searches step 3c answered
-   without running (see [search_stats]). *)
+(* Searches that ran to exhaustion, and searches steps 3c and 3d
+   answered without running (see [search_stats]). *)
 let exhausted_counter = Atomic.make 0
 let refuted_counter = Atomic.make 0
 
@@ -899,14 +956,17 @@ let solve_conjunction ?(seed = 0x5EED) (lits : lit list) : conj_result =
                     | _ -> ())
                 | _ -> ())
               lits;
+          let cmps =
+            List.filter_map
+              (function L_cmp (c, a, b) -> Some (c, a, b) | _ -> None)
+              lits
+          in
+          let bounds = Hashtbl.find_opt intervals in
           if !unsat then C_unsat
           else if
-            difference_refutes ~bounds:(Hashtbl.find_opt intervals)
-              (List.filter_map
-                 (function L_cmp (c, a, b) -> Some (c, a, b) | _ -> None)
-                 lits)
+            difference_refutes ~bounds cmps || range_refutes ~bounds cmps
           then begin
-            (* 3c. The search cannot succeed: answer as its exhausted
+            (* 3c/3d. The search cannot succeed: answer as its exhausted
                sampling loop would, fuel included. *)
             Exec.Budget.tick ~cost:(sample_tries * sample_cost) ();
             Atomic.incr refuted_counter;

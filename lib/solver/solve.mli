@@ -4,9 +4,9 @@
     DPLL(T) spirit: bounded expansion of the few disjunctions that arise
     (negated small-int range checks), a type/class assignment pass over
     oop-sorted terms, interval propagation over the integer atoms, a
-    difference-bound refutation ({!difference_refutes}) and a witness
-    search (biased candidates, bounded random sampling, linear
-    repair).
+    difference-bound refutation ({!difference_refutes}), a range
+    refutation ({!range_refutes}) and a witness search (biased
+    candidates, bounded random sampling, linear repair).
 
     Mirrors the paper's solver limits (§4.3): conjunctions containing
     bitwise operations or constants beyond 56-bit precision answer
@@ -95,9 +95,25 @@ val difference_refutes :
     [Unknown "no witness found"], which is answered (with the same fuel
     charge) without running it. *)
 
+val range_refutes :
+  bounds:(Symbolic.Sym_expr.t -> Interval.t option) ->
+  (Symbolic.Sym_expr.cmp * Symbolic.Sym_expr.t * Symbolic.Sym_expr.t) list ->
+  bool
+(** [range_refutes ~bounds cmps]: some comparison [a ⋈ b] cannot hold
+    for any assignment of the atoms inside [bounds], judged by interval
+    evaluation of both sides — linear terms, the division family
+    ([//], [\\], [quo], [rem], with {!Interval.floor_div} and its
+    siblings) and float exponents.  A side whose bounds could leave
+    [±2^61] is left unbounded, which only weakens the check.  Like
+    {!difference_refutes} it runs before the witness search, on the
+    intervals every candidate stays inside, and a refutation is
+    answered with the exhausted search's verdict and fuel charge. *)
+
 type search_stats = {
   exhausted : int;  (** witness searches run to the end without a witness *)
-  refuted : int;  (** searches skipped because {!difference_refutes} held *)
+  refuted : int;
+      (** searches skipped because {!difference_refutes} or
+          {!range_refutes} held *)
 }
 
 val search_stats : unit -> search_stats

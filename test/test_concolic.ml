@@ -227,6 +227,34 @@ let test_return_value_recorded () =
   in
   check_bool "return value captured" true (returned.output.return_value <> None)
 
+(* The path-summary memo and the store share one string key.  Over
+   the curated universe and the 700-subject extracted corpus the keys
+   must tell exactly the distinct subjects apart (so
+   [Path.subject_name] is injective there), and their hashes must
+   spread: the (subject, defects, ...) tuple the memo used to be keyed
+   by hashed every byte-code sequence alike. *)
+let test_memo_keys_hash () =
+  let module Campaign = Ijdt_core.Campaign in
+  let subjects =
+    Campaign.curated_universe ()
+    @ Templates.Corpus.subjects (Campaign.extracted_corpus ~seed:42 ~n:700 ())
+  in
+  let key s =
+    Concolic.Explorer.store_key s Interpreter.Defects.paper 96 false
+  in
+  let distinct l = List.length (List.sort_uniq compare l) in
+  let keys = List.map key subjects in
+  let n = distinct subjects in
+  check_bool "more than the curated universe" true (n > 1000);
+  check_int "one key per distinct subject" n (distinct keys);
+  check_int "keys equal exactly when subjects are" n
+    (distinct (List.combine subjects keys));
+  let hashes = distinct (List.map Hashtbl.hash (List.sort_uniq compare keys)) in
+  check_bool
+    (Printf.sprintf ">= 95%% distinct hashes (%d of %d)" hashes n)
+    true
+    (hashes * 100 >= 95 * n)
+
 let suite =
   [
     Alcotest.test_case "add: nine paths (Table 1)" `Quick test_add_paths;
@@ -252,6 +280,8 @@ let suite =
       test_as_float_defect_visible_to_exploration;
     Alcotest.test_case "primFFIStoreFloat64 exploration counts" `Quick
       test_ffi_store_float64_counts;
+    Alcotest.test_case "memo keys: injective and hashing" `Quick
+      test_memo_keys_hash;
     Alcotest.test_case "heap effects recorded" `Quick test_effects_recorded;
     Alcotest.test_case "return value recorded" `Quick test_return_value_recorded;
   ]

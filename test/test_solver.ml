@@ -543,6 +543,244 @@ let test_ffi_bounds_pinned () =
   let s = Solve.search_stats () in
   Alcotest.(check int) "reset clears refuted" 0 s.Solve.refuted
 
+(* --- small-integer range escapes (step 3d) --- *)
+
+let min_small = Vm_objects.Value.min_small_int
+let max_small = Vm_objects.Value.max_small_int
+
+(* The shapes of EXPERIMENTS Figure 6: a division-family result or a
+   float exponent leaving small-integer range.  Each expands to two
+   branches (above [max_small], below [min_small]); neither can hold,
+   and step 3d answers both with the verdict and the fuel charge of an
+   exhausted search. *)
+let int_escape op =
+  let rcvr = oop_var "rcvr" and arg = oop_var "arg" in
+  let a = Sym.Integer_value_of rcvr and b = Sym.Integer_value_of arg in
+  [
+    Sym.Is_small_int rcvr;
+    Sym.Is_small_int arg;
+    Sym.Cmp (Sym.Cne, b, Sym.Int_const 0);
+    Sym.Not (Sym.Is_in_small_int_range (op a b));
+  ]
+
+let exponent_escape () =
+  let rcvr = oop_var "rcvr" in
+  [
+    Sym.Is_float_object rcvr;
+    Sym.Not
+      (Sym.Is_in_small_int_range
+         (Sym.Float_exponent (Sym.Float_value_of rcvr)));
+  ]
+
+let check_range_escape_pinned conds =
+  Solve.reset_cache ();
+  (match Solve.solve conds with
+  | Solve.Unknown r -> Alcotest.(check string) "verdict" "all branches unknown" r
+  | _ -> Alcotest.fail "expected Unknown");
+  let s = Solve.search_stats () in
+  Alcotest.(check int) "both branches refuted" 2 s.Solve.refuted;
+  Alcotest.(check int) "no search run to exhaustion" 0 s.Solve.exhausted;
+  (* 16 for the query + 2 branches x 4000 samples x 4, as before step 3d *)
+  let returns fuel =
+    Solve.reset_cache ();
+    match Exec.Budget.with_budget ~fuel (fun () -> Solve.solve conds) with
+    | _ -> true
+    | exception Exec.Budget.Exhausted _ -> false
+  in
+  check_bool "returns at fuel 32016" true (returns 32016);
+  check_bool "exhausted at fuel 32015" false (returns 32015);
+  Solve.reset_cache ()
+
+let test_mod_escape_pinned () =
+  check_range_escape_pinned (int_escape (fun a b -> Sym.Mod (a, b)))
+
+let test_rem_escape_pinned () =
+  check_range_escape_pinned (int_escape (fun a b -> Sym.Rem (a, b)))
+
+let test_exponent_escape_pinned () =
+  check_range_escape_pinned (exponent_escape ())
+
+(* Floor division and the truncated quotient do escape, at
+   [min_small // -1]: no refutation, a witness. *)
+let test_div_escape_found () =
+  List.iter
+    (fun op ->
+      let conds = int_escape op in
+      Solve.reset_cache ();
+      (match Solve.solve conds with
+      | Solve.Sat m -> check_bool "witness holds" true (model_satisfies m conds)
+      | _ -> Alcotest.fail "expected Sat");
+      Alcotest.(check int) "not refuted" 0
+        (Solve.search_stats ()).Solve.refuted)
+    [ (fun a b -> Sym.Div (a, b)); (fun a b -> Sym.Quo (a, b)) ];
+  Solve.reset_cache ()
+
+(* Random conjunctions over three small-integer atoms, each confined to
+   a domain of at most seven values near [min_small], -1, 0 or
+   [max_small]: division-family terms with constant or atom divisors,
+   compared against constants. *)
+let range_oops = [| oop_var "p"; oop_var "q"; oop_var "r" |]
+let range_atoms = Array.map (fun o -> Sym.Integer_value_of o) range_oops
+
+let range_anchors =
+  [ min_small; min_small + 3; -6; -3; -1; 0; 2; max_small - 6 ]
+
+let range_domain_gen =
+  QCheck.Gen.(
+    map2 (fun lo w -> (lo, lo + w)) (oneofl range_anchors) (int_bound 6))
+
+let range_term_gen =
+  QCheck.Gen.(
+    let atom = map (fun i -> range_atoms.(i)) (int_bound 2) in
+    let divisor =
+      oneof [ atom; map (fun k -> Sym.Int_const k) (oneofl [ -2; -1; 1; 3 ]) ]
+    in
+    let op =
+      oneofl
+        [
+          (fun a b -> Sym.Div (a, b));
+          (fun a b -> Sym.Mod (a, b));
+          (fun a b -> Sym.Quo (a, b));
+          (fun a b -> Sym.Rem (a, b));
+        ]
+    in
+    map3 (fun op a b -> op a b) op atom divisor)
+
+let range_cmp_gen =
+  QCheck.Gen.(
+    map3
+      (fun c t k -> Sym.Cmp (c, t, Sym.Int_const k))
+      (oneofl [ Sym.Ceq; Sym.Cne; Sym.Clt; Sym.Cle; Sym.Cgt; Sym.Cge ])
+      range_term_gen
+      (oneofl [ min_small; max_small; -1; 0; 1 ]))
+
+let range_case_gen =
+  QCheck.Gen.(
+    pair
+      (list_repeat 3 range_domain_gen)
+      (list_size (int_range 1 3) range_cmp_gen))
+
+let range_conds (domains, cmps) =
+  List.concat
+    (List.mapi
+       (fun i (lo, hi) ->
+         [
+           Sym.Is_small_int range_oops.(i);
+           Sym.Cmp (Sym.Cge, range_atoms.(i), Sym.Int_const lo);
+           Sym.Cmp (Sym.Cle, range_atoms.(i), Sym.Int_const hi);
+         ])
+       domains)
+  @ cmps
+
+let range_refutes (domains, cmps) =
+  let bounds t =
+    let rec find i = function
+      | [] -> None
+      | (lo, hi) :: rest ->
+          if range_atoms.(i) = t then Interval.make lo hi else find (i + 1) rest
+    in
+    find 0 domains
+  in
+  Solve.range_refutes ~bounds
+    (List.filter_map
+       (function Sym.Cmp (c, a, b) -> Some (c, a, b) | _ -> None)
+       cmps)
+
+let range_has_model (domains, cmps) =
+  let env = Eval.create_env () in
+  let holds () =
+    List.for_all
+      (function
+        | Sym.Cmp (c, a, b) -> (
+            try Eval.cmp_holds c (Eval.eval_int env a) (Eval.eval_int env b)
+            with Eval.Failed -> false)
+        | _ -> true)
+      cmps
+  in
+  let rec go i = function
+    | [] -> holds ()
+    | (lo, hi) :: rest ->
+        let rec try_v v =
+          v <= hi
+          && begin
+               Hashtbl.replace env.Eval.ints range_atoms.(i) v;
+               go (i + 1) rest || try_v (v + 1)
+             end
+        in
+        try_v lo
+  in
+  go 0 domains
+
+let arb_range =
+  QCheck.make
+    ~print:(fun case ->
+      String.concat " & " (List.map Sym.to_string (range_conds case)))
+    range_case_gen
+
+let qcheck_range_sound =
+  QCheck.Test.make
+    ~name:"qcheck: range refutation agrees with enumeration" ~count:500
+    arb_range (fun case -> not (range_refutes case && range_has_model case))
+
+let qcheck_range_search =
+  QCheck.Test.make
+    ~name:"qcheck: the search never finds a range-refuted witness" ~count:200
+    arb_range (fun case ->
+      let conds = range_conds case in
+      match Solve.solve_uncached conds with
+      | Solve.Sat m -> (not (range_refutes case)) && model_satisfies m conds
+      | _ -> true)
+
+(* Each division-family helper contains the evaluator's result for
+   every pair of members of its operand intervals. *)
+let qcheck_interval_helpers =
+  QCheck.Test.make
+    ~name:"qcheck: interval helpers contain every concrete result" ~count:500
+    (QCheck.make
+       ~print:(fun ((a, b), (c, d)) ->
+         Printf.sprintf "[%d, %d] op [%d, %d]" a b c d)
+       QCheck.Gen.(pair range_domain_gen range_domain_gen))
+    (fun ((alo, ahi), (blo, bhi)) ->
+      let ia = { Interval.lo = alo; hi = ahi }
+      and ib = { Interval.lo = blo; hi = bhi } in
+      let members lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
+      List.for_all
+        (fun (helper, f) ->
+          match helper ia ib with
+          | None -> blo = 0 && bhi = 0
+          | Some iv ->
+              List.for_all
+                (fun a ->
+                  List.for_all
+                    (fun b -> b = 0 || Interval.contains iv (f a b))
+                    (members blo bhi))
+                (members alo ahi))
+        [
+          (Interval.floor_div, Eval.floor_div);
+          (Interval.floor_mod, Eval.floor_mod);
+          (Interval.quo, ( / ));
+          (Interval.rem, ( mod ));
+        ])
+
+let qcheck_float_exponent =
+  let exponent f =
+    Eval.eval_int (Eval.create_env ()) (Sym.Float_exponent (Sym.Float_const f))
+  in
+  QCheck.Test.make
+    ~name:"qcheck: the float exponent range contains every exponent"
+    ~count:500
+    (QCheck.make
+       ~print:string_of_float
+       QCheck.Gen.(
+         oneof
+           [
+             float;
+             oneofl
+               [ nan; infinity; neg_infinity; 0.0; -0.0; max_float;
+                 -.max_float; min_float; Float.succ 0.0; Float.pred 0.0 ];
+           ]))
+    (fun f -> Interval.contains Interval.float_exponent (exponent f))
+
 let suite =
   [
     Alcotest.test_case "empty conjunction sat" `Quick test_empty_is_sat;
@@ -579,4 +817,16 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_dbm_search;
     Alcotest.test_case "FFI bounds conjunction: verdict and fuel pinned"
       `Quick test_ffi_bounds_pinned;
+    Alcotest.test_case "floor-mod range escape: verdict and fuel pinned" `Quick
+      test_mod_escape_pinned;
+    Alcotest.test_case "rem range escape: verdict and fuel pinned" `Quick
+      test_rem_escape_pinned;
+    Alcotest.test_case "exponent range escape: verdict and fuel pinned" `Quick
+      test_exponent_escape_pinned;
+    Alcotest.test_case "// and quo escape at min_small // -1" `Quick
+      test_div_escape_found;
+    QCheck_alcotest.to_alcotest qcheck_range_sound;
+    QCheck_alcotest.to_alcotest qcheck_range_search;
+    QCheck_alcotest.to_alcotest qcheck_interval_helpers;
+    QCheck_alcotest.to_alcotest qcheck_float_exponent;
   ]
