@@ -45,6 +45,18 @@
 # and a coordinator SIGKILLed mid-campaign must resume from
 # its fsync'd --journal-sync journal to a byte-identical report.
 #
+# The warm-store validate gate follows: the extracted:300 validation
+# fills a fresh store cold at -j 2 and then runs warm at -j 1, -j 2 and
+# --workers 2; every report must equal the no-store -j 1 report once
+# the store and cache counters, the pool's process stats and the
+# validator query counts (a work counter that reads 0 when the store
+# answers) are popped.  Warm in-process runs must read the store at
+# most once per unit and once per subject (plus the corpus build's
+# chunk reads) and hit it at least 95% of the time.
+#
+# Every report of a run without injected chaos must count zero
+# retries: a retry nothing injected is a bug, not resilience.
+#
 # The warm-store gate follows: the same campaign twice against one
 # fresh persistent store (`--store`); the second run must be served
 # from disk (>= 95% store hit rate) and its aggregate JSON must be
@@ -69,6 +81,16 @@
 # replays the corpus build cold and warm and gates the same invariants
 # on throughput numbers (BENCH_ci_corpus.json).
 cd "$(dirname "$0")/.."
+# no_retries REPORT...: every unit of a run without injected chaos
+# succeeded on its first attempt
+no_retries() {
+  python3 - "$@" <<'EOF'
+import json, sys
+for f in sys.argv[1:]:
+    n = json.load(open(f))["supervision"]["totals"]["retries"]
+    assert n == 0, f"{f}: {n} retries with no fault injected"
+EOF
+}
 : "${CI_VALIDATE_REPORT:=_build/validate-pristine.json}"
 : "${CI_VALIDATE_BUDGET:=2000}"
 : "${CI_JOBS:=$(nproc 2>/dev/null || echo 2)}"
@@ -103,6 +125,7 @@ EOF
 echo "ci: abstract verification report at VERIFY_ci.json"
 dune exec bin/vmtest.exe -- validate --pristine -j "$CI_JOBS" \
   --budget "$CI_VALIDATE_BUDGET" --json "$CI_VALIDATE_REPORT" > /dev/null
+no_retries "$CI_VALIDATE_REPORT"
 CI_VALIDATE_REPORT="$CI_VALIDATE_REPORT" python3 - <<'EOF'
 import json, os
 v = json.load(open(os.environ["CI_VALIDATE_REPORT"]))
@@ -120,6 +143,7 @@ dune exec bin/vmtest.exe -- mutate --pristine -j "$CI_JOBS" > /dev/null
 echo "ci: mutation pristine gate passed (zero false kills)"
 dune exec bin/vmtest.exe -- mutate -j "$CI_JOBS" --per-operator 1 \
   --json MUTATION_ci.json > /dev/null
+no_retries MUTATION_ci.json
 python3 - <<'EOF'
 import json
 m = json.load(open("MUTATION_ci.json"))
@@ -142,6 +166,7 @@ EOF
 echo "ci: mutation report at MUTATION_ci.json"
 dune exec bin/vmtest.exe -- mutate --workers 2 --per-operator 1 \
   --json _build/ci-mutate-w2.json > /dev/null
+no_retries _build/ci-mutate-w2.json
 python3 - <<'EOF'
 import json
 pool = json.load(open("_build/ci-mutate-w2.json"))
@@ -190,6 +215,7 @@ dune exec bin/vmtest.exe -- campaign -j "$CI_JOBS" --max-iterations 24 \
   --resume _build/ci-journal-trunc.jsonl --json _build/ci-resumed.json \
   > /dev/null
 cmp _build/ci-single.json _build/ci-resumed.json
+no_retries _build/ci-single.json _build/ci-resumed.json
 echo "ci: resume smoke: truncated-journal resume is byte-identical"
 # process-isolation gates.  First a chaos campaign with process-level
 # faults (worker SIGKILL, SIGSTOP freeze, pipe garbage, exit 2) under
@@ -249,6 +275,7 @@ dune exec bin/vmtest.exe -- campaign --workers 4 --max-iterations 24 \
   --json _build/ci-w4.json > /dev/null
 cmp _build/ci-w1.json _build/ci-w2.json
 cmp _build/ci-w2.json _build/ci-w4.json
+no_retries _build/ci-w2.json
 python3 - <<'EOF'
 import json
 pool = json.load(open("_build/ci-w2.json"))
@@ -275,6 +302,7 @@ dune exec bin/vmtest.exe -- validate --corpus extracted:300 -j 2 \
 dune exec bin/vmtest.exe -- validate --corpus extracted:300 --workers 2 \
   --json _build/ci-vx-w2.json > /dev/null
 cmp _build/ci-vx-j1.json _build/ci-vx-j2.json
+no_retries _build/ci-vx-j1.json _build/ci-vx-w2.json
 python3 - <<'EOF'
 import json
 pool = json.load(open("_build/ci-vx-w2.json"))
@@ -287,6 +315,69 @@ pool.pop("caches"); inproc.pop("caches")
 assert pool == inproc, "extracted validate: --workers 2 diverges from -j 1"
 print("ci: extracted-validation determinism: -j 1 == -j 2 == --workers 2 "
       "modulo pool process stats")
+EOF
+# warm-store validation: a store filled cold at -j 2 serves warm runs
+# at -j 1, -j 2 and --workers 2 whose reports equal the no-store one.
+# A warm validated unit reads its unit-verdict entry and its subject's
+# exploration, and nothing else
+rm -rf _build/ci-vx-store
+dune exec bin/vmtest.exe -- validate --corpus extracted:300 -j 2 \
+  --store _build/ci-vx-store --json _build/ci-vx-cold.json > /dev/null
+dune exec bin/vmtest.exe -- validate --corpus extracted:300 -j 1 \
+  --store _build/ci-vx-store --json _build/ci-vx-warm-j1.json > /dev/null
+dune exec bin/vmtest.exe -- validate --corpus extracted:300 -j 2 \
+  --store _build/ci-vx-store --json _build/ci-vx-warm-j2.json > /dev/null
+dune exec bin/vmtest.exe -- validate --corpus extracted:300 --workers 2 \
+  --store _build/ci-vx-store --json _build/ci-vx-warm-w2.json > /dev/null
+no_retries _build/ci-vx-cold.json _build/ci-vx-warm-j1.json \
+  _build/ci-vx-warm-j2.json _build/ci-vx-warm-w2.json
+python3 - <<'EOF'
+import json
+def load(name):
+    return json.load(open(f"_build/ci-vx-{name}.json"))
+def no_queries(counts):
+    return {k: v for k, v in counts.items() if k != "queries"}
+def stripped(r):
+    store = r.pop("store")
+    r.pop("caches")
+    r["supervision"].pop("process")
+    # validator queries count work done, and a warm run does none
+    r["totals"] = no_queries(r["totals"])
+    for c in r["compilers"]:
+        c["totals"] = no_queries(c["totals"])
+        for p in c["per_arch"]:
+            p["counts"] = no_queries(p["counts"])
+    return r, store
+base, _ = stripped(load("j1"))
+cold, cs = stripped(load("cold"))
+assert cs["enabled"] and cs["writes"] > 0, f"cold validate wrote nothing: {cs}"
+assert cold == base, "extracted validate: cold store run diverges from no store"
+assert load("cold")["totals"]["queries"] == load("j1")["totals"]["queries"], \
+    "cold store run posed a different number of validator queries"
+# the --workers 2 coordinator runs no unit: its store reads are the
+# corpus build's chunk reads alone
+_, ws = stripped(load("warm-w2"))
+chunk_reads = ws["hits"] + ws["misses"]
+for name in ("warm-j1", "warm-j2", "warm-w2"):
+    warm, ws = stripped(load(name))
+    assert warm == base, f"extracted validate: {name} diverges from no store"
+    reads = ws["hits"] + ws["misses"]
+    assert reads and ws["hits"] / reads >= 0.95, \
+        f"{name}: store hit rate {ws['hits']}/{reads} below 95%"
+    if name == "warm-w2":
+        continue
+    ok = {c["compiler"]: c["counts"]["ok"] for c in warm["supervision"]["per_compiler"]}
+    units = sum(ok.values())
+    # the byte-code front-ends share one subject list
+    subjects = ok.get("native", 0) + max(
+        (n for c, n in ok.items() if c != "native"), default=0)
+    bound = units + subjects + chunk_reads
+    assert reads <= bound, \
+        f"{name}: {reads} store reads exceed {units} units + " \
+        f"{subjects} subjects + {chunk_reads} corpus chunks"
+    print(f"ci: warm-store validate gate: {name}: {reads} store reads "
+          f"(bound {bound}), {ws['hits']} hits, report equals no-store")
+print(f"ci: warm-store validate gate: cold run wrote {cs['writes']} entries")
 EOF
 # crash-only coordinator: SIGKILL the coordinator mid-campaign, then
 # resume from its fsync'd (--journal-sync) journal; the merged report
@@ -309,6 +400,7 @@ dune exec bin/vmtest.exe -- campaign -j "$CI_JOBS" --max-iterations 24 \
   --store _build/ci-store --json _build/ci-store-cold.json > /dev/null
 dune exec bin/vmtest.exe -- campaign -j "$CI_JOBS" --max-iterations 24 \
   --store _build/ci-store --json _build/ci-store-warm.json > /dev/null
+no_retries _build/ci-store-cold.json _build/ci-store-warm.json
 python3 - <<'EOF'
 import json
 cold = json.load(open("_build/ci-store-cold.json"))

@@ -173,6 +173,34 @@ let time f =
   let r = f () in
   (r, Exec.Clock.elapsed t0)
 
+(* The unit-verdict store tier: one entry per validated unit holding
+   everything the unit derives from its exploration except the dynamic
+   outcomes — the per-ISA and cross-ISA static findings, and every
+   path's per-ISA validation after witness replay.  A warm unit still
+   compiles and simulates every path on every ISA (the differential
+   oracle always runs) but skips static analysis, the validator and the
+   replays.  The key is the exploration's store key (subject, defects
+   digest, iteration bound, lookahead) plus the compiler, the ISA list
+   and the fault tag, so a mutant never reads a pristine entry.
+   Budgeted units neither read nor write it: a budget degrades
+   validations to Unknown depending on what earlier units spent, which
+   is process state, not a function of the key. *)
+type unit_entry = {
+  ue_paths : int;
+  ue_static : (Jit.Codegen.arch * Verify.Finding.t list) list;
+  ue_cross : Verify.Finding.t list;
+  ue_validations : (Jit.Codegen.arch * Difftest.Runner.validation) list list;
+}
+
+let unit_store_ns = "unit-verdict:1"
+
+let unit_store_key ~max_iterations ~defects ~arches ~compiler subject =
+  Printf.sprintf "%s|compiler:%s|arches:%s%s"
+    (Concolic.Explorer.store_key subject defects max_iterations false)
+    (Jit.Cogits.short_name compiler)
+    (String.concat "+" (List.map Jit.Codegen.arch_name arches))
+    (Jit.Fault.cache_tag ())
+
 (* Explore one instruction and run its differential tests against one
    compiler on the given architectures.  A path counts as ONE difference
    if it differs on any architecture (the paper's per-path counting).
@@ -200,19 +228,65 @@ let test_instruction ?(max_iterations = 96) ?(validate = false) ?budget
   else begin
     let (static, cross_isa, results), test_time =
       time (fun () ->
-          (* the unit's static analysis runs once for all its ISAs, and
-             each path compiles once and runs on every ISA *)
-          let static, cross_isa =
-            Difftest.Runner.static_verdicts ~defects ~compiler ~arches subject
+          let entry_key =
+            if validate && Option.is_none budget && Exec.Store.enabled () then
+              Some
+                (unit_store_key ~max_iterations ~defects ~arches ~compiler
+                   subject)
+            else None
           in
-          ( static,
-            cross_isa,
-            List.map
-              (fun path ->
-                ( path,
-                  Difftest.Runner.run_path_arches ~validate ?budget ~defects
-                    ~compiler ~static path ))
-              exploration.paths ))
+          let n_paths = List.length exploration.paths in
+          let cached =
+            Option.bind entry_key (fun key ->
+                match
+                  (Exec.Store.lookup ~ns:unit_store_ns ~key : unit_entry option)
+                with
+                | Some e when e.ue_paths = n_paths -> Some e
+                | _ -> None)
+          in
+          match cached with
+          | Some e ->
+              ( e.ue_static,
+                e.ue_cross,
+                List.map2
+                  (fun path validations ->
+                    ( path,
+                      Difftest.Runner.run_path_arches ~validations ~defects
+                        ~compiler ~static:e.ue_static path ))
+                  exploration.paths e.ue_validations )
+          | None ->
+              (* the unit's static analysis runs once for all its ISAs,
+                 and each path compiles once and runs on every ISA *)
+              let static, cross_isa =
+                Difftest.Runner.static_verdicts ~defects ~compiler ~arches
+                  subject
+              in
+              let results =
+                List.map
+                  (fun path ->
+                    ( path,
+                      Difftest.Runner.run_path_arches ~validate ?budget
+                        ~defects ~compiler ~static path ))
+                  exploration.paths
+              in
+              Option.iter
+                (fun key ->
+                  Exec.Store.record ~ns:unit_store_ns ~key
+                    {
+                      ue_paths = n_paths;
+                      ue_static = static;
+                      ue_cross = cross_isa;
+                      ue_validations =
+                        List.map
+                          (fun (_, verdicts) ->
+                            List.map
+                              (fun (arch, (v : Difftest.Runner.verified), _) ->
+                                (arch, Option.get v.validation))
+                              verdicts)
+                          results;
+                    })
+                entry_key;
+              (static, cross_isa, results))
     in
     let outcomes_of verdicts =
       List.map (fun (_, (v : Difftest.Runner.verified), _) -> v.outcome) verdicts

@@ -98,6 +98,37 @@ val corpus_subjects_for :
   ?jobs:int -> corpus:corpus_spec -> Jit.Cogits.compiler -> Concolic.Path.subject list
 (** The compiler's test universe under the given corpus. *)
 
+(** {1 The unit-verdict store tier}
+
+    One {!Exec.Store} entry per validated unit ([validate] on, no
+    [budget], a store active).  It holds everything the unit derives
+    from its exploration except the dynamic outcomes, so a warm unit
+    still compiles and simulates every path on every ISA but skips
+    static analysis, the validator and witness replay. *)
+
+type unit_entry = {
+  ue_paths : int;  (** the exploration's path count *)
+  ue_static : (Jit.Codegen.arch * Verify.Finding.t list) list;
+      (** per-ISA static findings ({!Difftest.Runner.static_verdicts}) *)
+  ue_cross : Verify.Finding.t list;  (** the cross-ISA findings *)
+  ue_validations : (Jit.Codegen.arch * Difftest.Runner.validation) list list;
+      (** per path (exploration order), per ISA: the validation after
+          witness replay *)
+}
+
+val unit_store_ns : string
+(** ["unit-verdict:1"]. *)
+
+val unit_store_key :
+  max_iterations:int ->
+  defects:Interpreter.Defects.t ->
+  arches:Jit.Codegen.arch list ->
+  compiler:Jit.Cogits.compiler ->
+  Concolic.Path.subject ->
+  string
+(** {!Concolic.Explorer.store_key} of the unit's exploration, plus the
+    compiler, the ISA list and {!Jit.Fault.cache_tag}. *)
+
 val test_instruction :
   ?max_iterations:int ->
   ?validate:bool ->
@@ -111,7 +142,11 @@ val test_instruction :
     counts as one difference if it differs on any architecture.
     [validate] (default [false]) additionally runs solver-backed
     translation validation (pass 5) on every path x arch; [budget] caps
-    its solver queries, shared across calls via the ref. *)
+    its solver queries, shared across calls via the ref.  An unbudgeted
+    validated unit reads its {!unit_entry} from the active store, and
+    records one on a miss; an entry whose path count differs from the
+    exploration's is a miss.  A unit served by its entry reports 0
+    validator queries. *)
 
 val units_for :
   Jit.Cogits.compiler list ->

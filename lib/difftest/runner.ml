@@ -615,22 +615,27 @@ let validate_path ?ir_slot ?outcome ?budget ~defects ~compiler ~arch
 (* One path on every ISA of [static] (the unit's per-ISA static
    verdicts): the path's IR, and the validator's sentinel-literal IR,
    are compiled once and lowered per ISA.  Each entry carries the
-   validator queries its ISA posed on this domain. *)
-let run_path_arches ?(validate = false) ?budget ~defects ~compiler ~static
-    (path : Concolic.Path.t) : (Jit.Codegen.arch * verified * int) list =
+   validator queries its ISA posed on this domain.  [validations], the
+   path's per-ISA validations from an earlier run, stand in for the
+   validator and the witness replay, which pose no query. *)
+let run_path_arches ?(validate = false) ?budget ?validations ~defects
+    ~compiler ~static (path : Concolic.Path.t) :
+    (Jit.Codegen.arch * verified * int) list =
   let front = Jit.Cogits.ir_slot () and sentinel = Jit.Cogits.ir_slot () in
   List.map
     (fun (arch, static_findings) ->
       let outcome = run_path_on ~front ~defects ~compiler ~arch path in
       let validation, spent =
-        if not validate then (None, 0)
-        else
-          let v, spent =
-            Verify.Translation_validator.with_query_count (fun () ->
-                validate_path ~ir_slot:sentinel ~outcome ?budget ~defects
-                  ~compiler ~arch path)
-          in
-          (Some v, spent)
+        match validations with
+        | Some vs -> (Some (List.assoc arch vs), 0)
+        | None when not validate -> (None, 0)
+        | None ->
+            let v, spent =
+              Verify.Translation_validator.with_query_count (fun () ->
+                  validate_path ~ir_slot:sentinel ~outcome ?budget ~defects
+                    ~compiler ~arch path)
+            in
+            (Some v, spent)
       in
       ( arch,
         {

@@ -137,6 +137,7 @@ val run_path_verified :
 val run_path_arches :
   ?validate:bool ->
   ?budget:int ref ->
+  ?validations:(Jit.Codegen.arch * validation) list ->
   defects:Interpreter.Defects.t ->
   compiler:Jit.Cogits.compiler ->
   static:(Jit.Codegen.arch * Verify.Finding.t list) list ->
@@ -146,4 +147,11 @@ val run_path_arches :
     static verdicts (the first half of {!static_verdicts}), in that
     order.  The path's IR and the validator's sentinel-literal IR are
     each compiled once and lowered per ISA.  The [int] is the number
-    of validator solver queries that ISA's validation posed. *)
+    of validator solver queries that ISA's validation posed.
+
+    [validations], this path's validation on every ISA of [static] as
+    an earlier run computed it (witnesses already replayed), replaces
+    [validate]: the path still compiles and runs on every ISA, but no
+    validator runs, no witness is replayed and every ISA reports 0
+    queries, as a per-path verdict read from the store does.
+    @raise Not_found if an ISA of [static] has no validation. *)

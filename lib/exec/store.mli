@@ -13,7 +13,23 @@
     marshalled type changes.  The key must fingerprint everything the
     value depends on — for layers whose values depend on compiled code
     that includes {!Jit.Fault.cache_tag}, so mutant runs never poison
-    pristine entries. *)
+    pristine entries.
+
+    The namespaces, coarsest first:
+    - ["template-corpus:1"] ({!Templates.Corpus}): one chunk of the
+      extracted corpus build;
+    - ["unit-verdict:1"] ([Ijdt_core.Campaign]): one validated unit's
+      per-ISA and cross-ISA static findings and every path's per-ISA
+      validation after witness replay; unbudgeted validated units only;
+    - ["path-summary:1"] ({!Concolic.Explorer}): one subject's
+      exploration;
+    - ["validate-verdict:1"] ({!Verify.Translation_validator}): one
+      (path, compiler, ISA) validator verdict, before witness replay;
+      read by per-path callers and by units whose unit entry missed;
+    - ["mc-paths:1"] ({!Verify.Translation_validator}): one compiled
+      program's symbolically executed machine paths;
+    - ["solver-verdict:1"] ({!Solver.Solve}): one canonical
+      conjunction's verdict. *)
 
 type t
 

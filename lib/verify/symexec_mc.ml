@@ -111,17 +111,19 @@ let negate_cond = function
   | Sym.Bool_const b -> Sym.Bool_const (not b)
   | e -> Sym.Not e
 
-(* Class-id → instance format, for the implication rules below. *)
+(* Class-id → instance format, for the implication rules below.
+   Built eagerly at module load and only read afterwards: a [lazy]
+   would be forced concurrently by the validators of several domains,
+   and OCaml 5 lazies are not domain-safe (the loser raises
+   [CamlinternalLazy.Undefined]). *)
 let class_formats =
-  lazy
-    (let tbl = Vm_objects.Class_table.create () in
-     let fmts = Hashtbl.create 32 in
-     Vm_objects.Class_table.iter tbl (fun d ->
-         Hashtbl.replace fmts (Vm_objects.Class_desc.class_id d)
-           (Vm_objects.Class_desc.format d));
-     fmts)
+  let fmts = Hashtbl.create 32 in
+  Vm_objects.Class_table.iter (Vm_objects.Class_table.create ()) (fun d ->
+      Hashtbl.replace fmts (Vm_objects.Class_desc.class_id d)
+        (Vm_objects.Class_desc.format d));
+  fmts
 
-let class_format cid = Hashtbl.find_opt (Lazy.force class_formats) cid
+let class_format cid = Hashtbl.find_opt class_formats cid
 
 let class_is_pointers cid =
   match class_format cid with

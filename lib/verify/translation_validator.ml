@@ -710,7 +710,15 @@ let validate_path_uncached ?se_budget ?query_budget ~ir_slot
    everything the verdict reads: subject, compiler, arch, defect
    configuration, frame shape, stack depth, the full path condition and
    exit, the symbolic-execution budget, and the fault tag (a mutant's
-   refuted verdict must never satisfy a pristine lookup). *)
+   refuted verdict must never satisfy a pristine lookup).
+
+   A campaign's validated unit reads its whole unit-verdict entry
+   ({!Ijdt_core.Campaign.test_instruction}) before it reaches this
+   tier, and only writes it on a miss.  The tier stays for the callers
+   that validate one path at a time: [Difftest.Runner.run_path_verified]
+   and perfbench's traced driver, whose warm runs would otherwise
+   re-pose every validator query.  It can go once the traced driver
+   calls the campaign's unit entry point (ROADMAP item 3). *)
 let verdict_store_ns = "validate-verdict:1"
 
 let validate_path ?se_budget ?query_budget ?(ir_slot = Jit.Cogits.ir_slot ())

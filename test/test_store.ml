@@ -10,10 +10,14 @@
    - fault-tag isolation: {!Jit.Fault.cache_tag} separates mutant
      entries from pristine ones;
    - campaign determinism with persistence on: -j 1 cold, -j 8 warm and
-     -j 8 cold all render byte-identically. *)
+     -j 8 cold all render byte-identically;
+   - the unit-verdict tier: a warm unit's static findings and per-path
+     validations equal the cold computation, and a path-count mismatch,
+     a mutant or a budget keeps a unit away from an entry. *)
 
 module Store = Exec.Store
 module Campaign = Ijdt_core.Campaign
+module Runner = Difftest.Runner
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -257,6 +261,184 @@ let test_campaign_determinism_with_store () =
       check_string "cold -j8 == cold -j1" (render_counts cold)
         (render_counts cold8))
 
+(* --- the unit-verdict tier: one entry per validated unit --- *)
+
+let defects = Interpreter.Defects.paper
+let arches = Jit.Codegen.all_arches
+let max_iterations = 96
+
+let unit_store_key (compiler, subject) =
+  Campaign.unit_store_key ~max_iterations ~defects ~arches ~compiler subject
+
+let unit_entry u : Campaign.unit_entry option =
+  Store.lookup ~ns:Campaign.unit_store_ns ~key:(unit_store_key u)
+
+let run_unit ?budget (compiler, subject) =
+  Campaign.test_instruction ~max_iterations ~validate:true ?budget ~defects
+    ~arches ~compiler subject
+
+(* [compare], not [=]: witness models may hold NaN floats *)
+let same a b = compare a b = 0
+
+(* what a warm unit may change: timings and validator query counts *)
+let sans_work (r : Campaign.instruction_result) =
+  {
+    r with
+    explore_time = 0.;
+    test_time = 0.;
+    validations =
+      List.map
+        (fun (a, (c : Campaign.validation_counts)) ->
+          (a, { c with queries = 0 }))
+        r.validations;
+  }
+
+(* The cold computation of what a unit's entry holds: its static
+   verdicts and every path's validation on every ISA. *)
+let computed (compiler, subject) =
+  let static, cross =
+    Runner.static_verdicts ~defects ~compiler ~arches subject
+  in
+  let exploration =
+    Concolic.Explorer.explore ~max_iterations ~defects subject
+  in
+  ( static,
+    cross,
+    List.map
+      (fun path ->
+        List.map
+          (fun (arch, (v : Runner.verified), _) ->
+            (arch, Option.get v.validation))
+          (Runner.run_path_arches ~validate:true ~defects ~compiler ~static
+             path))
+      exploration.paths )
+
+(* Compute every unit with no store, fill a fresh store, then check
+   each entry against the computation and run the unit warm: it reads
+   its entry and nothing else, poses no validator query, writes
+   nothing and returns the cold result. *)
+let check_warm_equals_cold units =
+  let cold = List.map (fun u -> (u, sans_work (run_unit u), computed u)) units in
+  with_active_store (fun () ->
+      List.iter (fun (u, _, _) -> ignore (run_unit u)) cold;
+      List.iter
+        (fun (u, (result : Campaign.instruction_result), (static, cross, vs)) ->
+          let label = Campaign.unit_key u in
+          match unit_entry u with
+          | None ->
+              check_bool (label ^ ": only unsupported units lack an entry") true
+                result.unsupported
+          | Some e ->
+              check_int (label ^ ": path count") (List.length vs) e.ue_paths;
+              check_bool (label ^ ": static findings") true
+                (same e.ue_static static);
+              check_bool (label ^ ": cross-ISA findings") true
+                (same e.ue_cross cross);
+              check_bool (label ^ ": validations") true (same e.ue_validations vs);
+              Store.reset_counters ();
+              let warm, queries =
+                Verify.Translation_validator.with_query_count (fun () ->
+                    run_unit u)
+              in
+              let c = Store.counters () in
+              check_bool (label ^ ": warm result") true
+                (same (sans_work warm) result);
+              check_int (label ^ ": warm validator queries") 0 queries;
+              check_int (label ^ ": warm store hits") 1 c.Store.hits;
+              check_int (label ^ ": warm store misses") 0 c.Store.misses;
+              check_int (label ^ ": warm store writes") 0 c.Store.writes)
+        cold)
+
+let test_unit_entry_curated () =
+  check_warm_equals_cold (Campaign.units_for Jit.Cogits.all)
+
+let test_unit_entry_extracted () =
+  check_warm_equals_cold (Test_shared_static.extracted_units ())
+
+(* A finding no analysis produces: a result carrying it was read from
+   a forged entry. *)
+let forged =
+  Verify.Finding.v ~pass:Verify.Finding.Frame_differ ~subject:"forged"
+    ~family:Verify.Finding.Structural ~cause:"forged-entry"
+    "read from a forged store entry"
+
+let forge u (e : Campaign.unit_entry) =
+  Store.record ~ns:Campaign.unit_store_ns ~key:(unit_store_key u)
+    { e with ue_cross = forged :: e.ue_cross }
+
+let reads_forged (r : Campaign.instruction_result) =
+  List.mem forged r.static_findings
+
+(* an s2r unit with more than one path *)
+let some_unit () =
+  List.find
+    (fun u -> (run_unit u).paths > 1)
+    (Campaign.units_for [ Jit.Cogits.Stack_to_register_cogit ])
+
+let test_unit_entry_path_count () =
+  let u = some_unit () in
+  let expected = sans_work (run_unit u) in
+  with_active_store (fun () ->
+      ignore (run_unit u);
+      let e = Option.get (unit_entry u) in
+      (* self-consistent, but for an exploration with one path more *)
+      forge u
+        {
+          e with
+          ue_paths = e.ue_paths + 1;
+          ue_validations = e.ue_validations @ [ List.hd e.ue_validations ];
+        };
+      Store.reset_counters ();
+      let r = run_unit u in
+      check_bool "recomputed, not read" false (reads_forged r);
+      check_bool "the cold result" true (same (sans_work r) expected);
+      check_int "the entry is recorded again" 1 (Store.counters ()).Store.writes;
+      check_bool "the recorded entry is the computed one" true
+        (same (unit_entry u) (Some e)))
+
+let test_unit_entry_arches () =
+  let ((compiler, subject) as u) = some_unit () in
+  with_active_store (fun () ->
+      ignore (run_unit u);
+      forge u (Option.get (unit_entry u));
+      check_bool "a one-ISA run does not read the all-ISA entry" false
+        (reads_forged
+           (Campaign.test_instruction ~max_iterations ~validate:true ~defects
+              ~arches:[ List.hd arches ] ~compiler subject)))
+
+let inert_fault =
+  {
+    Jit.Fault.id = "store-test-inert";
+    layer = Jit.Fault.L_ir;
+    rewrite_opcode = Jit.Fault.none_opcode;
+    rewrite_ir = Jit.Fault.none_ir;
+    rewrite_machine = Jit.Fault.none_machine;
+  }
+
+let test_unit_entry_mutant () =
+  let ((compiler, _) as u) = some_unit () in
+  with_active_store (fun () ->
+      ignore (run_unit u);
+      forge u (Option.get (unit_entry u));
+      check_bool "a pristine run reads the forged entry" true
+        (reads_forged (run_unit u));
+      let mutant, _ =
+        Jit.Fault.with_fault ~target:(Jit.Cogits.short_name compiler) inert_fault
+          (fun () -> run_unit u)
+      in
+      check_bool "the mutant does not" false (reads_forged mutant))
+
+let test_unit_entry_budget () =
+  let u = some_unit () in
+  with_active_store (fun () ->
+      ignore (run_unit ~budget:(ref 1_000_000) u);
+      check_bool "a budgeted unit writes no entry" true
+        (Option.is_none (unit_entry u));
+      ignore (run_unit u);
+      forge u (Option.get (unit_entry u));
+      check_bool "a budgeted unit reads no entry" false
+        (reads_forged (run_unit ~budget:(ref 1_000_000) u)))
+
 let suite =
   [
     Alcotest.test_case "round trip" `Quick test_round_trip;
@@ -276,4 +458,16 @@ let suite =
       test_concurrent_writer_race;
     Alcotest.test_case "campaign determinism with store -j1 == -j8" `Slow
       test_campaign_determinism_with_store;
+    Alcotest.test_case "unit entry: warm = cold, curated" `Quick
+      test_unit_entry_curated;
+    Alcotest.test_case "unit entry: warm = cold, extracted" `Quick
+      test_unit_entry_extracted;
+    Alcotest.test_case "unit entry: path count mismatch" `Quick
+      test_unit_entry_path_count;
+    Alcotest.test_case "unit entry: keyed by ISA list" `Quick
+      test_unit_entry_arches;
+    Alcotest.test_case "unit entry: mutants miss pristine" `Quick
+      test_unit_entry_mutant;
+    Alcotest.test_case "unit entry: budgets bypass it" `Quick
+      test_unit_entry_budget;
   ]
