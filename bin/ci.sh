@@ -221,8 +221,8 @@ echo "ci: resume smoke: truncated-journal resume is byte-identical"
 # faults (worker SIGKILL, SIGSTOP freeze, pipe garbage, exit 2) under
 # --workers 2: every lethal fault must be contained as a counted
 # worker_died verdict on exactly its target unit, pipe garbage must
-# cost frames but never a verdict, and nothing outside the schedule may
-# be lost.  The supervision section merges into ROBUST_ci.json as its
+# cost frames but never a verdict, nothing outside the schedule may
+# be lost, and the pool's counters must equal the plan's exact figures.  The supervision section merges into ROBUST_ci.json as its
 # process_chaos extension.
 dune exec bin/vmtest.exe -- campaign --workers 2 --worker-deadline 2 \
   --chaos --chaos-faults 4 --seed 7 --max-iterations 24 \
@@ -255,6 +255,18 @@ assert t["quarantined"] == 0, f"{t['quarantined']} units quarantined"
 assert t["worker_died"] == len(lethal), "worker_died total inconsistent"
 assert t["timed_out"] == 0 and t["crashed"] == 0, \
     "process faults leaked into in-process verdicts"
+# exact death accounting for this plan: each lethal fault kills its
+# worker on both attempts its unit gets (the stop by the deadline), and
+# a unit a dying worker had only queued goes back uncharged, so it adds
+# no redeal, no retry and no attempt
+assert (proc["deaths"], proc["preempted"], proc["redeals"], proc["garbage"]) \
+    == (6, 2, 3, 1), f"process counters moved: {proc}"
+assert (t["ok"], t["worker_died"], t["retries"]) == (682, 3, 3), \
+    f"totals moved: {t}"
+died = sorted((i["unit"], i["detail"], i["attempts"]) for i in sup["incidents"])
+assert died == sorted([("native|primFloatEqual", "signal sigkill", 2),
+                       ("simple|special[bitOr:]", "deadline signal sigkill", 2),
+                       ("s2r|jump5", "exit 2", 2)]), f"incidents moved: {died}"
 rob = json.load(open("ROBUST_ci.json"))
 rob["process_chaos"] = {"supervision": sup, "targets": chaos["targets"]}
 json.dump(rob, open("ROBUST_ci.json", "w"), separators=(",", ":"))

@@ -211,3 +211,19 @@ let build ?arena ~(model : Solver.Model.t)
   in
   let frame = Interpreter.Frame.create ~receiver ~meth ~temps ~stack in
   { om; frame; meth; bindings = !bindings; stack_depth = depth }
+
+(* Oops survive the copy, so the bindings carry over as they are; the
+   method view and the frame are rebuilt over the copied memory. *)
+let copy (i : input) : input =
+  let module F = Interpreter.Frame in
+  let om = Object_memory.copy i.om in
+  let meth =
+    Bytecodes.Compiled_method.of_oop (Object_memory.heap om)
+      (Bytecodes.Compiled_method.oop i.meth)
+  in
+  let frame =
+    F.create ~receiver:(F.receiver i.frame) ~meth
+      ~temps:(Array.copy (F.temps i.frame))
+      ~stack:(F.stack_bottom_up i.frame)
+  in
+  { i with om; meth; frame }

@@ -42,3 +42,10 @@ val build :
   input
 (** [entry_var rank] is the input-stack variable at [rank] below the top
     (rank 0 = top of the input operand stack). *)
+
+val copy : input -> input
+(** An input equal to the given one, object for object and oop for oop,
+    over an {!Vm_objects.Object_memory.copy} of its memory, with its
+    method view and a fresh frame rebuilt over that copy: running
+    either one never changes the other.  Takes the input of a frame
+    that has not run yet. *)

@@ -177,7 +177,7 @@ let diff ~compiler ~arch ~(path : Concolic.Path.t) kind =
 
 (* --- byte-code instruction testing --- *)
 
-let run_bytecode_path ~front ~defects ~compiler ~arch (path : Concolic.Path.t)
+let run_bytecode_path ~front ~input ~defects ~compiler ~arch (path : Concolic.Path.t)
     (op : [ `One of Bytecodes.Opcode.t | `Seq of Bytecodes.Opcode.t list ]) :
     outcome =
   match path.exit_ with
@@ -194,7 +194,7 @@ let run_bytecode_path ~front ~defects ~compiler ~arch (path : Concolic.Path.t)
       | Solver.Solve.Unknown reason -> Curated_out reason
       | Solver.Solve.Unsat -> Curated_out "path condition re-solve unsat"
       | Solver.Solve.Sat _ -> (
-          let input = rebuild_input path in
+          let input : Concolic.Materialize.input = input () in
           let om = input.om in
           let meth = input.meth in
           let literals =
@@ -315,7 +315,7 @@ let run_bytecode_path ~front ~defects ~compiler ~arch (path : Concolic.Path.t)
 
 (* --- native method testing --- *)
 
-let run_native_path ~front ~defects ~arch (path : Concolic.Path.t)
+let run_native_path ~front ~input ~defects ~arch (path : Concolic.Path.t)
     (prim_id : int) : outcome =
   let compiler = Jit.Cogits.Native_method_compiler in
   match path.exit_ with
@@ -327,7 +327,7 @@ let run_native_path ~front ~defects ~arch (path : Concolic.Path.t)
       | Solver.Solve.Unsat -> Curated_out "path condition re-solve unsat"
       | Solver.Solve.Sat _ -> (
           let arity = Interpreter.Primitive_table.arity prim_id in
-          let input = rebuild_input path in
+          let input : Concolic.Materialize.input = input () in
           let stack = Interpreter.Frame.stack_bottom_up input.frame in
           if List.length stack <> arity + 1 then Expected_failure
           else
@@ -408,20 +408,23 @@ let run_native_path ~front ~defects ~arch (path : Concolic.Path.t)
                          { expected = path.exit_; observed }))))
 
 (* One path on one ISA; [front] carries the path's IR from the ISAs
-   before (see {!run_path_arches}). *)
-let run_path_on ~front ~defects ~compiler ~arch (path : Concolic.Path.t) :
+   before, and [input ()] hands over the path's concrete input, a
+   memory this run may write (see {!run_path_arches}). *)
+let run_path_on ~front ~input ~defects ~compiler ~arch (path : Concolic.Path.t) :
     outcome =
   match (path.subject, compiler) with
   | Concolic.Path.Bytecode op, (Jit.Cogits.Simple_stack_cogit | Jit.Cogits.Stack_to_register_cogit | Jit.Cogits.Register_allocating_cogit) ->
-      run_bytecode_path ~front ~defects ~compiler ~arch path (`One op)
+      run_bytecode_path ~front ~input ~defects ~compiler ~arch path (`One op)
   | Concolic.Path.Bytecode_seq ops, (Jit.Cogits.Simple_stack_cogit | Jit.Cogits.Stack_to_register_cogit | Jit.Cogits.Register_allocating_cogit) ->
-      run_bytecode_path ~front ~defects ~compiler ~arch path (`Seq ops)
+      run_bytecode_path ~front ~input ~defects ~compiler ~arch path (`Seq ops)
   | Concolic.Path.Native id, Jit.Cogits.Native_method_compiler ->
-      run_native_path ~front ~defects ~arch path id
+      run_native_path ~front ~input ~defects ~arch path id
   | _ -> invalid_arg "Runner.run_path: compiler/subject mismatch"
 
 let run_path ~defects ~compiler ~arch path =
-  run_path_on ~front:(Jit.Cogits.ir_slot ()) ~defects ~compiler ~arch path
+  run_path_on ~front:(Jit.Cogits.ir_slot ())
+    ~input:(fun () -> rebuild_input path)
+    ~defects ~compiler ~arch path
 
 (* --- static pre-execution verification (the runner's pass 0) --- *)
 
@@ -614,17 +617,28 @@ let validate_path ?ir_slot ?outcome ?budget ~defects ~compiler ~arch
 
 (* One path on every ISA of [static] (the unit's per-ISA static
    verdicts): the path's IR, and the validator's sentinel-literal IR,
-   are compiled once and lowered per ISA.  Each entry carries the
-   validator queries its ISA posed on this domain.  [validations], the
-   path's per-ISA validations from an earlier run, stand in for the
-   validator and the witness replay, which pose no query. *)
+   are compiled once and lowered per ISA, and its concrete input is
+   materialised once, on the first ISA that needs it, and each ISA runs
+   on a deep copy of it.  Each entry carries the validator queries its
+   ISA posed on this domain.  [validations], the path's per-ISA
+   validations from an earlier run, stand in for the validator and the
+   witness replay, which pose no query. *)
 let run_path_arches ?(validate = false) ?budget ?validations ~defects
     ~compiler ~static (path : Concolic.Path.t) :
     (Jit.Codegen.arch * verified * int) list =
   let front = Jit.Cogits.ir_slot () and sentinel = Jit.Cogits.ir_slot () in
+  let materialised = ref None in
+  let input () =
+    match !materialised with
+    | Some i -> Concolic.Materialize.copy i
+    | None ->
+        let i = rebuild_input path in
+        materialised := Some i;
+        Concolic.Materialize.copy i
+  in
   List.map
     (fun (arch, static_findings) ->
-      let outcome = run_path_on ~front ~defects ~compiler ~arch path in
+      let outcome = run_path_on ~front ~input ~defects ~compiler ~arch path in
       let validation, spent =
         match validations with
         | Some vs -> (Some (List.assoc arch vs), 0)

@@ -15,6 +15,10 @@ type outcome =
 
 val is_diff : outcome -> bool
 
+val rebuild_input : Concolic.Path.t -> Concolic.Materialize.input
+(** Materialise a path's concrete input from its model, in a fresh
+    memory, as the explorer did. *)
+
 val run_path :
   defects:Interpreter.Defects.t ->
   compiler:Jit.Cogits.compiler ->
@@ -146,8 +150,10 @@ val run_path_arches :
 (** {!run_path_verified} on every ISA of [static], the unit's per-ISA
     static verdicts (the first half of {!static_verdicts}), in that
     order.  The path's IR and the validator's sentinel-literal IR are
-    each compiled once and lowered per ISA.  The [int] is the number
-    of validator solver queries that ISA's validation posed.
+    each compiled once and lowered per ISA; the path's concrete input
+    is materialised once and every ISA runs on its own
+    {!Concolic.Materialize.copy} of it.  The [int] is the number of
+    validator solver queries that ISA's validation posed.
 
     [validations], this path's validation on every ISA of [static] as
     an earlier run computed it (witnesses already replayed), replaces

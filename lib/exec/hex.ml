@@ -14,16 +14,28 @@ let encode s =
   done;
   Bytes.unsafe_to_string b
 
-let nibble = function
-  | '0' .. '9' as c -> Char.code c - Char.code '0'
-  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-  | c -> failwith (Printf.sprintf "bad hex digit %C" c)
+(* Digit value by character code, -1 for a non-digit: every result
+   frame and store header is decoded, so this runs once per byte of
+   everything a worker sends. *)
+let nibbles =
+  let t = Array.make 256 (-1) in
+  String.iteri (fun i c -> t.(Char.code c) <- i) digits;
+  String.iteri (fun i c -> t.(Char.code c) <- 10 + i) "ABCDEF";
+  t
+
+let nibble s i =
+  let c = String.unsafe_get s i in
+  let v = Array.unsafe_get nibbles (Char.code c) in
+  if v < 0 then failwith (Printf.sprintf "bad hex digit %C" c) else v
 
 let decode s =
   let n = String.length s in
   if n mod 2 <> 0 then failwith "odd hex";
-  String.init (n / 2) (fun i ->
-      Char.chr ((nibble s.[2 * i] lsl 4) lor nibble s.[(2 * i) + 1]))
+  let b = Bytes.create (n / 2) in
+  for i = 0 to (n / 2) - 1 do
+    Bytes.unsafe_set b i
+      (Char.unsafe_chr ((nibble s (2 * i) lsl 4) lor nibble s ((2 * i) + 1)))
+  done;
+  Bytes.unsafe_to_string b
 
 let digest s = Digest.to_hex (Digest.string s)

@@ -1,10 +1,15 @@
 (* Multi-process worker pool: crash-only execution for campaign units.
 
    The coordinator fork/execs N copies of the running binary (re-entering
-   a hidden "worker" argv mode), deals one {!Unit_wire.t} at a time to
-   each worker over a pipe pair, and collects {!Unit_wire.msg} result
-   frames.  One unit in flight per worker bounds the blast radius of a
-   death to exactly that unit.
+   a hidden "worker" argv mode), deals {!Unit_wire.t} units to each
+   worker over a pipe pair, and collects {!Unit_wire.msg} result frames.
+   A worker holds at most two units: the one it is running and one
+   queued behind it, so it goes straight from one unit's [Result] to
+   the next instead of waiting a round trip for it.  A worker runs its
+   units in deal order and acks each as it starts, so the running unit
+   is the one it acked (or, before its first [Ack], the first one
+   dealt): a death costs that unit one attempt, and the queued unit,
+   which never started, goes back uncharged.
 
    Supervision is preemptive where the in-process {!Budget} is only
    cooperative:
@@ -14,8 +19,10 @@
      SIGSTOP freezes, native-code spins, and anything else a
      cooperative watchdog cannot see;
    - any worker death (signal, nonzero exit, preemptive kill) costs one
-     attempt of its in-flight unit, which is re-dealt while attempts
-     remain and becomes a [P_died] outcome after that;
+     attempt of its running unit, which is re-dealt while attempts
+     remain and becomes a [P_died] outcome after that; its queued unit
+     is dealt again with its attempt count restored, and is not a
+     redeal;
    - per-slot circuit breaker: [breaker_k] consecutive deaths without a
      completed unit retire the slot (no respawn), so a poisoned
      environment cannot fork-bomb;
@@ -80,8 +87,10 @@ type slot = {
   mutable from_worker : Unix.file_descr;
   mutable dec : Unit_wire.decoder;
   mutable garbage_seen : int;
-  mutable current : int option; (* position in [units] in flight *)
-  mutable last_beat : float; (* monotonic time of last frame / deal *)
+  mutable running : int option; (* position in [units] being run *)
+  mutable queued : int option; (* position dealt behind [running] *)
+  mutable last_beat : float; (* time of the last frame, or of the deal
+                                 that gave an idle worker work *)
   mutable alive : bool;
   mutable bye_sent : bool;
   mutable preempted : bool; (* we SIGKILLed past the deadline *)
@@ -129,7 +138,8 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
     s.from_worker <- uout_r;
     s.dec <- Unit_wire.decoder ();
     s.garbage_seen <- 0;
-    s.current <- None;
+    s.running <- None;
+    s.queued <- None;
     s.last_beat <- Unix.gettimeofday ();
     s.alive <- true;
     s.bye_sent <- false;
@@ -145,10 +155,12 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
     | None -> Queue.take_opt pending
   in
   let work_waiting () = (not (Stack.is_empty redeal)) || not (Queue.is_empty pending) in
+  (* Hand [s] its running unit, or queue one behind it; a worker with
+     nothing left to run and no work waiting is sent Bye. *)
   let deal (s : slot) =
     match take_work () with
     | None ->
-        if not s.bye_sent then begin
+        if s.running = None && not s.bye_sent then begin
           s.bye_sent <- true;
           let f = Unit_wire.encode Unit_wire.Bye in
           try write_all s.to_worker f 0 (String.length f)
@@ -157,8 +169,11 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
     | Some pos ->
         attempts.(pos) <- attempts.(pos) + 1;
         let u = { units.(pos) with Unit_wire.w_attempt = attempts.(pos) } in
-        s.current <- Some pos;
-        s.last_beat <- Unix.gettimeofday ();
+        if s.running = None then begin
+          s.running <- Some pos;
+          s.last_beat <- Unix.gettimeofday ()
+        end
+        else s.queued <- Some pos;
         let f = Unit_wire.encode (Unit_wire.Unit u) in
         (* EPIPE here means the worker just died; the EOF path re-deals *)
         (try write_all s.to_worker f 0 (String.length f)
@@ -173,9 +188,10 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
           | Unit_wire.Ack _ -> s.last_beat <- Unix.gettimeofday ()
           | Unit_wire.Result { index; attempts = wa; verdict; _ } -> (
               s.last_beat <- Unix.gettimeofday ();
-              match s.current with
+              match s.running with
               | Some pos when units.(pos).Unit_wire.w_index = index ->
-                  s.current <- None;
+                  s.running <- s.queued;
+                  s.queued <- None;
                   s.streak <- 0;
                   finalize pos (P_result (verdict, wa))
               | _ -> incr garbage (* stray result frame *))
@@ -200,16 +216,26 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
     (try Unix.close s.from_worker with Unix.Unix_error _ -> ());
     let _, status = waitpid_retry s.pid in
     s.alive <- false;
-    let expected = !shutdown || (s.bye_sent && s.current = None) in
-    if !shutdown then s.current <- None (* unfinished unit stays P_not_run *);
+    let expected = !shutdown || (s.bye_sent && s.running = None) in
+    if !shutdown then begin
+      (* unfinished units stay P_not_run *)
+      s.running <- None;
+      s.queued <- None
+    end;
     if not expected then begin
       incr deaths;
       let status_str =
         (if s.preempted then "deadline " else "") ^ status_string status
       in
-      (match s.current with
+      (match s.queued with
       | Some pos ->
-          s.current <- None;
+          s.queued <- None;
+          attempts.(pos) <- attempts.(pos) - 1;
+          Stack.push pos redeal
+      | None -> ());
+      (match s.running with
+      | Some pos ->
+          s.running <- None;
           if attempts.(pos) <= retries then begin
             Stack.push pos redeal;
             incr redeals
@@ -237,7 +263,8 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
           from_worker = Unix.stdin;
           dec = Unit_wire.decoder ();
           garbage_seen = 0;
-          current = None;
+          running = None;
+          queued = None;
           last_beat = 0.0;
           alive = false;
           bye_sent = false;
@@ -274,17 +301,23 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
           (fun s ->
             if (not s.alive) && (not s.retired) && work_waiting () then spawn s)
           slots;
-        (* deal to idle workers (stable order: lowest slot first); a
-           slot that was already sent Bye is exiting and must not be
-           handed late redeals it will never run *)
+        (* deal to idle workers first, then queue one unit behind each
+           running one (stable order: lowest slot first); a slot that
+           was already sent Bye is exiting and must not be handed late
+           redeals it will never run *)
         Array.iter
-          (fun s -> if s.alive && (not s.bye_sent) && s.current = None then deal s)
+          (fun s -> if s.alive && (not s.bye_sent) && s.running = None then deal s)
+          slots;
+        Array.iter
+          (fun s ->
+            if s.alive && (not s.bye_sent) && s.running <> None && s.queued = None
+            then deal s)
           slots;
         let now = Unix.gettimeofday () in
         let timeout =
           Array.fold_left
             (fun acc s ->
-              if s.alive && s.current <> None then
+              if s.alive && s.running <> None then
                 min acc (max 0.01 (s.last_beat +. deadline_s -. now))
               else acc)
             0.5 slots
@@ -320,7 +353,7 @@ let run ~workers ?(deadline_s = 30.0) ?(retries = 1) ?(breaker_k = 4)
         Array.iter
           (fun s ->
             if
-              s.alive && s.current <> None && (not s.preempted)
+              s.alive && s.running <> None && (not s.preempted)
               && now -. s.last_beat > deadline_s
             then begin
               s.preempted <- true;

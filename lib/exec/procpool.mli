@@ -2,16 +2,21 @@
 
     The coordinator fork/execs [workers] copies of the running binary
     (which must re-enter {!worker_main} when invoked with
-    [worker_argv]), deals one {!Unit_wire.t} at a time to each worker
-    over pipes, and merges results by stable unit position so the
-    caller's aggregate output is byte-identical at any worker count.
+    [worker_argv]), deals {!Unit_wire.t} units to each worker over
+    pipes, and merges results by stable unit position so the caller's
+    aggregate output is byte-identical at any worker count.  A worker
+    holds at most two units, the one it runs and one queued behind it,
+    so it never waits a round trip for its next unit.
 
     Robustness properties (each exercised by the {!Chaos} process
     faults and gated in CI):
     {ul
-    {- a worker death (signal, nonzero exit) loses at most the one unit
-       in flight; the unit is re-dealt while [retries] attempts remain
-       and becomes [P_died] after that;}
+    {- a worker death (signal, nonzero exit) costs one attempt of the
+       one unit it was running, the one it acked (or, before its first
+       [Ack], the first one dealt); the unit is re-dealt while
+       [retries] attempts remain and becomes [P_died] after that.  The
+       unit queued behind it never started: it is dealt again with its
+       attempt count restored and is not counted in [p_redeals];}
     {- a worker silent past [deadline_s] since its last frame is
        preemptively SIGKILLed (catches SIGSTOP freezes and native
        spins the cooperative {!Budget} watchdog cannot see) — its
@@ -21,7 +26,8 @@
     {- torn or garbage bytes on a result pipe are counted and resynced
        past by the {!Unit_wire} decoder, never fatal;}
     {- if {!Interrupt.requested} becomes true, all workers are killed
-       and unfinished units are returned as [P_not_run].}} *)
+       and unfinished units, queued ones included, are returned as
+       [P_not_run].}} *)
 
 type outcome =
   | P_result of Unit_wire.verdict * int

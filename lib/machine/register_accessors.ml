@@ -18,13 +18,22 @@ type accessor = {
   setter : (int array -> int -> unit) option;
 }
 
-let table ~(gaps : bool) : accessor array =
+let build ~(gaps : bool) : accessor array =
   Array.init Machine_code.num_regs (fun r ->
       let getter = Some (fun regs -> regs.(r)) in
       let setter = Some (fun regs v -> regs.(r) <- v) in
       if gaps && r = Machine_code.r_scratch1 then { getter = None; setter }
       else if gaps && r = Machine_code.r_scratch2 then { getter; setter = None }
       else { getter; setter })
+
+(* Both tables are init-only: built at module initialisation, never
+   written after it, and shared by every simulated CPU on every domain
+   instead of rebuilt per CPU.  Built eagerly because an OCaml 5 lazy
+   forced by two domains at once raises [CamlinternalLazy.Undefined]
+   in one. *)
+let with_gaps = build ~gaps:true
+let without_gaps = build ~gaps:false
+let table ~gaps = if gaps then with_gaps else without_gaps
 
 let get table regs r =
   match table.(r).getter with

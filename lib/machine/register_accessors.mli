@@ -14,7 +14,8 @@ type accessor = {
 
 val table : gaps:bool -> accessor array
 (** The accessor table; with [gaps] the getter for scratch register 1 and
-    the setter for scratch register 2 are missing. *)
+    the setter for scratch register 2 are missing.  Each of the two
+    tables is built once and shared: callers must not write to it. *)
 
 val get : accessor array -> int array -> int -> int
 (** @raise Simulation_error on a missing getter. *)

@@ -70,6 +70,9 @@ let create () =
   List.iter (fun (id, desc) -> t.classes.(id) <- desc) well_known_descs;
   t
 
+(* Descriptions are immutable: copying the array is a deep copy. *)
+let copy t = { classes = Array.copy t.classes; next_id = t.next_id }
+
 let grow t wanted =
   if wanted >= Array.length t.classes then begin
     let n = Array.make (max (wanted + 1) (2 * Array.length t.classes)) None in

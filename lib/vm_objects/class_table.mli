@@ -34,6 +34,10 @@ val first_user_id : int
 val create : unit -> t
 (** A fresh table pre-populated with the well-known classes. *)
 
+val copy : t -> t
+(** An independent table with the same classes: registering or
+    truncating in one never shows in the other. *)
+
 val register :
   ?superclass:int -> t -> name:string -> format:Objformat.t -> Class_desc.t
 (** Allocate the next free user class id and register a class under it

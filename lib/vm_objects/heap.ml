@@ -55,6 +55,27 @@ let create class_table =
 
 let class_table t = t.class_table
 
+(* A deep copy: every entry and every mutable body (pointer slots,
+   bytes, method literals and bytecode) is fresh, so no store into the
+   copy can reach [t]. *)
+let copy_body = function
+  | Pointers a -> Pointers (Array.copy a)
+  | Byte_data b -> Byte_data (Bytes.copy b)
+  | Float_body f -> Float_body f
+  | Method_body m ->
+      Method_body
+        { m with literals = Array.copy m.literals; bytecode = Bytes.copy m.bytecode }
+
+let copy t class_table =
+  {
+    store =
+      Array.map
+        (Option.map (fun e -> { e with body = copy_body e.body }))
+        t.store;
+    next = t.next;
+    class_table;
+  }
+
 let entry_opt t oop =
   if not (Value.is_pointer oop) then None
   else

@@ -19,6 +19,12 @@ exception Invalid_access of { oop : Value.t; index : int }
 val create : Class_table.t -> t
 val class_table : t -> Class_table.t
 
+val copy : t -> Class_table.t -> t
+(** [copy t table] is a deep copy of [t] over [table] (normally a
+    {!Class_table.copy} of [t]'s): same oops, same contents, and no
+    mutable entry, slot array, byte buffer, method literal array or
+    bytecode shared with [t]. *)
+
 val allocate : t -> class_id:int -> indexable_size:int -> Value.t
 (** Allocate a fresh instance. Pointer slots start as placeholder values;
     callers should initialise them (e.g. to nil).

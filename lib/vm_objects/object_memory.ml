@@ -22,7 +22,7 @@ let allocate_class_object t class_id =
   Hashtbl.replace t.class_objects class_id oop;
   oop
 
-let create () =
+let build () =
   let class_table = Class_table.create () in
   let heap = Heap.create class_table in
   let specials = Special_objects.install heap in
@@ -33,6 +33,24 @@ let create () =
   Class_table.iter class_table (fun d ->
       ignore (allocate_class_object t (Class_desc.class_id d)));
   t
+
+let copy t =
+  let class_table = Class_table.copy t.class_table in
+  {
+    class_table;
+    heap = Heap.copy t.heap class_table;
+    specials = t.specials;
+    class_objects = Hashtbl.copy t.class_objects;
+  }
+
+(* Every fresh memory starts as the same singletons and class objects,
+   so it is a copy of one prototype instead of a rebuild.  The
+   prototype is init-only: built at module initialisation and never
+   mutated after it, only copied, which any number of domains may do
+   at once.  It is built eagerly because an OCaml 5 lazy forced by two
+   domains at once raises [CamlinternalLazy.Undefined] in one. *)
+let prototype = build ()
+let create () = copy prototype
 
 (* --- Scratch-memory protocol: mark / reset --- *)
 

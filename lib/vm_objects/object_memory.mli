@@ -4,6 +4,16 @@
 type t
 
 val create : unit -> t
+(** A fresh memory holding the singletons and one class object per
+    well-known class: a {!copy} of one prototype built at module
+    initialisation. *)
+
+val copy : t -> t
+(** A deep copy: same oops and contents, and no mutable state shared
+    with the source (heap entries and bodies, the class table and the
+    class-object table are all copied), so stores and allocations in
+    either never show in the other. *)
+
 val class_table : t -> Class_table.t
 val heap : t -> Heap.t
 val specials : t -> Special_objects.t

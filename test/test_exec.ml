@@ -408,6 +408,32 @@ let qcheck_wire_chunked_stream =
       in
       drain [] = msgs && Wire.garbage dec = 0)
 
+(* --- hex armour: round-trip, either case, and the two rejections --- *)
+
+let qcheck_hex_round_trip =
+  QCheck.Test.make ~name:"qcheck: hex decode (encode s) = s" ~count:500
+    QCheck.(string_gen QCheck.Gen.char)
+    (fun s ->
+      let h = Exec.Hex.encode s in
+      Exec.Hex.decode h = s
+      && Exec.Hex.decode (String.uppercase_ascii h) = s)
+
+let test_hex_rejects () =
+  check_string "upper case accepted" "\xab\x01" (Exec.Hex.decode "AB01");
+  check_string "empty" "" (Exec.Hex.decode "");
+  let fails what s =
+    match Exec.Hex.decode s with
+    | _ -> Alcotest.failf "%s: %S decoded" what s
+    | exception Failure _ -> ()
+  in
+  fails "odd length" "abc";
+  fails "odd length" "a";
+  fails "bad digit" "0g";
+  fails "bad digit" "g0";
+  fails "bad digit" "0x12";
+  fails "bad digit" "\xff\xff";
+  fails "bad digit" " 1"
+
 let ack1 = Wire.Ack { index = 1; attempt = 1 }
 
 let test_wire_decoder_recovery () =
@@ -488,6 +514,57 @@ let test_procpool_determinism () =
   | None -> Alcotest.fail "workers run must report pool stats");
   check_bool "in-process run has no pool stats" true
     (inproc.Campaign.sup_process = None)
+
+(* --- the pool's death accounting under process chaos ---
+
+   The campaign that bin/ci.sh's process-chaos gate runs
+   ([--workers 2 --worker-deadline 2 --chaos --chaos-faults 4 --seed 7
+   --max-iterations 24]): a worker-kill, a worker-stop, a worker-exit
+   and a pipe-garbage fault.  Each lethal fault kills its worker on
+   both attempts the unit gets (2 deaths and 1 redeal per fault; the
+   stop is preempted by the deadline), and the unit a dying worker had
+   queued goes back uncharged.  The counts are functions of the unit
+   list and the fault plan, whichever worker ran what. *)
+
+let test_procpool_death_accounting () =
+  Solver.Solve.reset_cache ();
+  Concolic.Explorer.reset_cache ();
+  let s =
+    Campaign.run_supervised ~workers:2 ~worker_deadline_s:2.0
+      ~max_iterations:24
+      ~policy:{ Exec.Supervise.default_policy with seed = 7 }
+      ~chaos:(7, 4) ()
+  in
+  let t = s.Campaign.sup_totals in
+  check_int "units ok" 682 t.Exec.Supervise.c_ok;
+  check_int "units worker_died" 3 t.Exec.Supervise.c_worker_died;
+  check_int "retries" 3 t.Exec.Supervise.c_retries;
+  Alcotest.(check (list string))
+    "incidents: the three lethal targets, each on its 2nd attempt"
+    [
+      "native|primFloatEqual|worker_died|signal sigkill|2";
+      "simple|special[bitOr:]|worker_died|deadline signal sigkill|2";
+      "s2r|jump5|worker_died|exit 2|2";
+    ]
+    (List.filter_map
+       (fun (u : Campaign.unit_report) ->
+         if u.ur_verdict = "ok" then None
+         else
+           Some
+             (Printf.sprintf "%s|%s|%s|%d" u.ur_key u.ur_verdict u.ur_detail
+                u.ur_attempts))
+       s.sup_units);
+  match s.Campaign.sup_process with
+  | None -> Alcotest.fail "workers run must report pool stats"
+  | Some p ->
+      check_int "deaths" 6 p.Exec.Procpool.p_deaths;
+      check_int "preempted" 2 p.Exec.Procpool.p_preempted;
+      check_int "redeals" 3 p.Exec.Procpool.p_redeals;
+      (* one garbage frame from the fault, plus the stray startup line
+         every worker of this binary sheds (see the determinism test
+         above) *)
+      check_int "garbage" 1
+        (p.Exec.Procpool.p_garbage - p.Exec.Procpool.p_spawned)
 
 (* --- mutants through the worker pool: --workers 2 == in-process --- *)
 
@@ -570,4 +647,9 @@ let suite =
       `Slow test_campaign_journal_corruption;
     Alcotest.test_case "mutate resume recomputes a corrupt journal entry"
       `Slow test_mutate_journal_corruption;
+    QCheck_alcotest.to_alcotest qcheck_hex_round_trip;
+    Alcotest.test_case "hex rejects odd length and bad digits" `Quick
+      test_hex_rejects;
+    Alcotest.test_case "procpool death accounting under process chaos" `Slow
+      test_procpool_death_accounting;
   ]

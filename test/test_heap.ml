@@ -219,6 +219,148 @@ let test_growth_keeps_oops () =
     oops;
   check_int "object count" 300 (Heap.object_count heap)
 
+(* --- deep copies: fidelity and isolation --- *)
+
+(* Everything a memory holds, object by object in oop order: class id,
+   format and body (slots, bytes, float bits, method literals, bytecode
+   and header), then the class table and the class-object table.  Two
+   memories with equal dumps are equal object for object. *)
+let dump_memory om =
+  let heap = Object_memory.heap om in
+  let b = Buffer.create 4096 in
+  let p fmt = Printf.bprintf b fmt in
+  let value (v : Value.t) = p " %d" (v :> int) in
+  for k = 0 to Heap.object_count heap - 1 do
+    let oop = Value.of_pointer (8 * (k + 1)) in
+    p "\n%d:" (oop :> int);
+    if Heap.is_valid_object heap oop then begin
+      let format = Heap.format_of heap oop in
+      p " class %d %s" (Heap.class_id_of heap oop) (Objformat.show format);
+      if Heap.is_method heap oop then begin
+        let m = Heap.method_body heap oop in
+        p " args %d temps %d native %d bytecode %S literals" m.num_args
+          m.num_temps
+          (Option.value m.native_method ~default:(-1))
+          (Bytes.to_string m.bytecode);
+        Array.iter value m.literals
+      end
+      else
+        match format with
+        | Objformat.Fixed_pointers _ | Objformat.Variable_pointers _ ->
+            for i = 0 to Heap.num_slots heap oop - 1 do
+              value (Heap.fetch_pointer heap oop i)
+            done
+        | Objformat.Variable_bytes ->
+            for i = 0 to Heap.num_slots heap oop - 1 do
+              p " %d" (Heap.fetch_byte heap oop i)
+            done
+        | Objformat.Boxed_float ->
+            p " %Ld" (Int64.bits_of_float (Heap.float_value heap oop))
+        | Objformat.Compiled_method -> p " no method body"
+    end
+    else p " dropped"
+  done;
+  let table = Object_memory.class_table om in
+  p "\nclasses %d next %d" (Class_table.count table)
+    (Class_table.next_user_id table);
+  Class_table.iter table (fun d ->
+      let id = Class_desc.class_id d in
+      p "\n%s object" (Class_desc.show d);
+      match Object_memory.class_object om ~class_id:id with
+      | oop -> value oop
+      | exception Invalid_argument _ -> p " none");
+  Buffer.contents b
+
+(* A memory with one object of every kind above the prototype: an
+   array, a byte object, a boxed float, a method with literals, and an
+   instance of a newly registered class. *)
+let populated () =
+  let om = fresh_om () in
+  let heap = Object_memory.heap om in
+  let arr =
+    Object_memory.allocate_array om [| Value.of_small_int 3; Object_memory.nil om |]
+  in
+  let bytes = Object_memory.allocate_string om "bytes" in
+  let flt = Object_memory.float_object_of om 2.5 in
+  let meth =
+    Heap.allocate_method heap ~literals:[| arr; Value.of_small_int 9 |]
+      ~bytecode:(Bytes.of_string "\x2C\x7C") ~num_args:1 ~num_temps:0
+      ~native_method:None
+  in
+  let widget =
+    Object_memory.register_class om ~name:"Widget"
+      ~format:(Objformat.Fixed_pointers 2)
+  in
+  let w =
+    Object_memory.instantiate_class om
+      ~class_id:(Class_desc.class_id widget) ~indexable_size:0
+  in
+  (om, arr, bytes, flt, meth, w)
+
+let test_copy_fidelity () =
+  let om, _, _, _, _, _ = populated () in
+  let copy = Object_memory.copy om in
+  Alcotest.(check string) "copy == source" (dump_memory om) (dump_memory copy)
+
+(* Write everything a run can write in [om]: a class-object slot, a
+   method literal and its bytecode, a byte, a float, a new class and a
+   new object, then drop every object above nil's (nil included, which
+   has no slot to store into) by rolling the heap back. *)
+let scribble om ~arr ~bytes ~flt ~meth =
+  let heap = Object_memory.heap om in
+  let array_class = Object_memory.class_object om ~class_id:Class_table.array_id in
+  Object_memory.store_pointer om array_class 1 (Value.of_small_int 77);
+  let m = Heap.method_body heap meth in
+  m.literals.(0) <- Value.of_small_int 66;
+  Bytes.set m.bytecode 0 '\x00';
+  Object_memory.store_pointer om arr 0 (Value.of_small_int 55);
+  Object_memory.store_byte om bytes 0 0x21;
+  Heap.set_float_value heap flt (-1.0);
+  let gadget =
+    Object_memory.register_class om ~name:"Gadget"
+      ~format:(Objformat.Variable_pointers 1)
+  in
+  ignore
+    (Object_memory.instantiate_class om
+       ~class_id:(Class_desc.class_id gadget) ~indexable_size:4);
+  (match Object_memory.store_pointer om (Object_memory.nil om) 0 arr with
+  | () -> Alcotest.fail "nil has no slot to store into"
+  | exception Heap.Invalid_access _ -> ());
+  Heap.truncate heap 0
+
+let test_copy_isolation () =
+  let prototype = dump_memory (fresh_om ()) in
+  let om, arr, bytes, flt, meth, _ = populated () in
+  let source = dump_memory om in
+  let copy = Object_memory.copy om and sibling = Object_memory.copy om in
+  scribble copy ~arr ~bytes ~flt ~meth;
+  check_bool "the stores landed in the copy" false (dump_memory copy = source);
+  Alcotest.(check string) "source untouched" source (dump_memory om);
+  Alcotest.(check string) "sibling untouched" source (dump_memory sibling);
+  Alcotest.(check string) "prototype untouched" prototype
+    (dump_memory (fresh_om ()));
+  (* and the other way round: the source's stores miss the sibling *)
+  scribble om ~arr ~bytes ~flt ~meth;
+  Alcotest.(check string) "sibling untouched by the source" source
+    (dump_memory sibling)
+
+let test_creates_share_nothing () =
+  let a = fresh_om () and b = fresh_om () in
+  let fresh = dump_memory b in
+  let arr = Object_memory.allocate_array a [| Value.of_small_int 1 |] in
+  let bytes = Object_memory.allocate_byte_array a [| 1 |] in
+  let flt = Object_memory.float_object_of a 1.0 in
+  let meth =
+    Heap.allocate_method (Object_memory.heap a) ~literals:[| arr |]
+      ~bytecode:(Bytes.of_string "\x2C") ~num_args:0 ~num_temps:0
+      ~native_method:None
+  in
+  scribble a ~arr ~bytes ~flt ~meth;
+  Alcotest.(check string) "the other create () is untouched" fresh
+    (dump_memory b);
+  Alcotest.(check string) "a later create () is untouched" fresh
+    (dump_memory (fresh_om ()))
+
 let suite =
   [
     Alcotest.test_case "create allocates in the minor heap" `Quick
@@ -240,4 +382,8 @@ let suite =
     Alcotest.test_case "compiled methods" `Quick test_methods;
     Alcotest.test_case "format predicates" `Quick test_format_predicates;
     QCheck_alcotest.to_alcotest qcheck_array_roundtrip;
+    Alcotest.test_case "copy equals its source" `Quick test_copy_fidelity;
+    Alcotest.test_case "copy isolated from source" `Quick test_copy_isolation;
+    Alcotest.test_case "creates share no state" `Quick
+      test_creates_share_nothing;
   ]

@@ -218,6 +218,78 @@ let test_all_isas_equal_one_isa () =
         exploration.paths)
     (Campaign.corpus_subjects_for ~corpus compiler)
 
+(* Each ISA of a path runs on a copy of one materialisation: for every
+   path the runner materialises, over the curated universe and the
+   extracted:300 slice, the copy equals a fresh materialisation object
+   for object, and its method view reads the copy's own body. *)
+let input_dump (i : Concolic.Materialize.input) =
+  let module F = Interpreter.Frame in
+  let values vs =
+    String.concat " " (List.map (fun (v : Vm_objects.Value.t) -> string_of_int (v :> int)) vs)
+  in
+  String.concat "\n"
+    [
+      Test_heap.dump_memory i.om;
+      values [ Bytecodes.Compiled_method.oop i.meth; F.receiver i.frame ];
+      values (Array.to_list (F.temps i.frame));
+      values (F.stack_bottom_up i.frame);
+      String.concat " "
+        (List.map
+           (fun (t, (v : Vm_objects.Value.t)) ->
+             Symbolic.Sym_expr.show t ^ "=" ^ string_of_int (v :> int))
+           i.bindings);
+      string_of_int i.stack_depth;
+    ]
+
+let check_copies subjects =
+  let copied = ref 0 in
+  List.iter
+    (fun subject ->
+      let exploration =
+        Concolic.Explorer.explore ~max_iterations:96 ~defects subject
+      in
+      List.iter
+        (fun (path : Concolic.Path.t) ->
+          match (path.exit_, path.curation) with
+          | Interpreter.Exit_condition.Invalid_frame, _
+          | _, (Solver.Solve.Unsat | Solver.Solve.Unknown _) ->
+              ()
+          | _, Solver.Solve.Sat _ ->
+              incr copied;
+              let label =
+                Concolic.Path.subject_name subject ^ " " ^ Concolic.Path.key path
+              in
+              let source = Runner.rebuild_input path in
+              let copy = Concolic.Materialize.copy source in
+              check_str (label ^ ": copy == fresh materialisation")
+                (input_dump (Runner.rebuild_input path))
+                (input_dump copy);
+              let literals (i : Concolic.Materialize.input) =
+                (Vm_objects.Heap.method_body
+                   (Vm_objects.Object_memory.heap i.om)
+                   (Bytecodes.Compiled_method.oop i.meth))
+                  .literals
+              in
+              check_bool (label ^ ": method view over the copy") true
+                (Bytecodes.Compiled_method.literals copy.meth == literals copy
+                && literals copy != literals source))
+        exploration.paths)
+    subjects;
+  check_bool "hundreds of paths materialised" true (!copied > 500)
+
+let dedup subjects =
+  List.sort_uniq
+    (fun a b ->
+      compare (Concolic.Path.subject_name a) (Concolic.Path.subject_name b))
+    subjects
+
+let test_copy_fidelity () =
+  check_copies (dedup (List.map snd (Campaign.units_for Jit.Cogits.all)));
+  check_copies
+    (Campaign.corpus_subjects_for
+       ~corpus:(Campaign.Corpus_extracted { n = 300; seed = 42 })
+       Jit.Cogits.Stack_to_register_cogit)
+
 let suite =
   [
     Alcotest.test_case "static verdict digest: curated" `Quick
@@ -230,4 +302,6 @@ let suite =
       test_one_analysis_per_unit;
     Alcotest.test_case "one path on all ISAs = one ISA at a time" `Quick
       test_all_isas_equal_one_isa;
+    Alcotest.test_case "a path's input copy equals a fresh one" `Quick
+      test_copy_fidelity;
   ]
